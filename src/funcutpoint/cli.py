@@ -136,6 +136,7 @@ def _write_manifest(out_dir: Path, command: str, argv, seed: int, inputs, t0: fl
 def _read_scores(scores_path, column: str, labels_path):
     ids = []
     values = []
+    seen = set()
     with open(scores_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -148,7 +149,11 @@ def _read_scores(scores_path, column: str, labels_path):
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(names):
                 raise ValueError(f"{scores_path} line {line_no}: wrong column count")
-            ids.append(row[0].strip())
+            sid = row[0].strip()
+            if sid in seen:
+                raise ValueError(f"{scores_path} line {line_no}: duplicate subject_id {sid!r}")
+            seen.add(sid)
+            ids.append(sid)
             try:
                 values.append(float(row[col]))
             except ValueError:

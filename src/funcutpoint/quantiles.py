@@ -196,6 +196,7 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
     grid = check_grid(grid)
     expected = ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)]
     curves = []
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -204,6 +205,11 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise ValueError(f"curves file {path} line {line_no}: wrong column count")
+            if row[0] in seen:
+                raise ValueError(
+                    f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"
+                )
+            seen.add(row[0])
             try:
                 values = np.array([float(v) for v in row[1:]])
             except ValueError as exc:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cutpoint import CRITERIA
 from .quantiles import QuantileCurve, check_grid
 
 __all__ = [
@@ -158,4 +159,9 @@ def read_cutoff_json(path):
     smoothed = payload.get("smoothed_curve")
     if smoothed is not None:
         smoothed = np.asarray(smoothed, dtype=float)
-    return family, float(payload["c_hat"]), str(payload["criterion"]), smoothed
+    c_hat, criterion = float(payload["c_hat"]), str(payload["criterion"])
+    if not np.isfinite(c_hat):
+        raise ValueError(f"cutoff file {path}: c_hat must be finite, got {c_hat!r}")
+    if criterion not in CRITERIA:
+        raise ValueError(f"cutoff file {path}: unknown criterion {criterion!r}")
+    return family, c_hat, criterion, smoothed

@@ -136,3 +136,80 @@ def uniform_day_rows(subject_id, day_index, level, step_minutes=5,
             (subject_id, stamp.strftime("%Y-%m-%dT%H:%M:%SZ"), repr(float(value)))
         )
     return rows
+
+
+def parse_series_oracle(path, nominal_interval_minutes=5.0):
+    """Per-row series parser: csv rows, datetime.fromisoformat and float().
+
+    Same contract and error texts as ingest.parse_series; the reference
+    for its columnar fast path.
+    """
+    groups, clamped = {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["subject_id", "timestamp", "glucose"]:
+            raise ValueError(f"{path}: expected header subject_id,timestamp,glucose")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise ValueError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
+            sid = row[0].strip()
+            if not sid:
+                raise ValueError(f"{path} line {line_no}: empty subject_id")
+            text = row[1].strip()
+            if text.endswith("Z"):
+                text = text[:-1] + "+00:00"
+            try:
+                stamp = datetime.fromisoformat(text)
+            except ValueError:
+                raise ValueError(f"{path} line {line_no}: invalid timestamp {row[1]!r}") from None
+            if stamp.tzinfo is None:
+                stamp = stamp.replace(tzinfo=timezone.utc)
+            try:
+                g = float(row[2])
+            except ValueError:
+                raise ValueError(f"{path} line {line_no}: non-numeric glucose {row[2]!r}") from None
+            if not np.isfinite(g):
+                raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
+            if g < 40.0 or g > 400.0:
+                clamped[sid] = clamped.get(sid, 0) + 1
+                g = min(max(g, 40.0), 400.0)
+            groups.setdefault(sid, []).append((int(stamp.timestamp()), g))
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
+    series, stats = [], {}
+    for sid, rows in groups.items():
+        # Sort by time keeping file order among equal times, then keep the
+        # first row of each timestamp.
+        rows = sorted(rows, key=lambda r: r[0])
+        kept = [r for k, r in enumerate(rows) if k == 0 or r[0] != rows[k - 1][0]]
+        series.append(SubjectSeries(sid, [t for t, _ in kept], [g for _, g in kept],
+                                    nominal_interval_minutes))
+        stats[sid] = {"records_in": len(rows), "deduped": len(rows) - len(kept),
+                      "clamped": clamped.get(sid, 0)}
+    return series, stats
+
+
+def filter_days_oracle(series, max_gap_minutes=120.0, gap_mode="cumulative"):
+    """Per-day loop: one mask per UTC day, gaps summed as floats.
+
+    Returns (kept times, kept values, retained day count).
+    """
+    t = series.times
+    tol = 1.5 * series.nominal_interval_minutes * 60.0
+    max_gap = max_gap_minutes * 60.0
+    days = t // DAY
+    keep = np.zeros(t.size, dtype=bool)
+    retained = 0
+    for day in np.unique(days):
+        mask = days == day
+        start = day * DAY
+        gaps = np.diff(t[mask], prepend=start, append=start + DAY).astype(float)
+        if gap_mode == "single":
+            bad = bool(np.any(gaps > max_gap))
+        else:
+            bad = float(gaps[gaps > tol].sum()) > max_gap
+        if not bad:
+            keep[mask] = True
+            retained += 1
+    return t[keep], series.values[keep], retained

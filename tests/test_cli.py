@@ -399,3 +399,71 @@ def test_roc_scalar_known_value(tmp_path):
     assert rc == 0
     payload = json.loads((out / "auc.json").read_text())
     assert payload["auc"] == pytest.approx(0.25, abs=1e-12)
+
+
+def duplicated_curves(ingested, tmp_path):
+    """The ingested curves file with its last row repeated (line 4)."""
+    curves_dir, _ = ingested
+    text = (curves_dir / "curves.csv").read_text()
+    lines = text.splitlines(keepends=True)
+    dup = tmp_path / "curves_dup.csv"
+    dup.write_text(text + lines[-1])
+    return dup, lines[-1].split(",")[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"],
+    ["bootstrap", "--B", "10"],
+    ["classify"],
+])
+def test_duplicate_curve_ids_are_rejected(ingested, tmp_path, capsys, command):
+    curves_dir, labels = ingested
+    dup, sid = duplicated_curves(ingested, tmp_path)
+    args = ["--curves", str(dup), "--grid", str(curves_dir / "grid.json"),
+            "--labels", str(labels), "--out", str(tmp_path / "out")]
+    if command[0] == "classify":
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--curves", str(curves_dir / "curves.csv"),
+                     "--grid", str(curves_dir / "grid.json"), "--labels", str(labels),
+                     "--out", str(fit_out)]) == 0
+        args += ["--cutoff", str(fit_out / "cutoff.json")]
+    assert main(command + args) == 1
+    err = capsys.readouterr().err
+    assert f"{dup} line 4: duplicate subject_id {sid!r}" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["bootstrap", "--B", "10"], ["roc"]])
+def test_duplicate_score_ids_are_rejected(tmp_path, capsys, command):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("subject_id,score\na,0.0\nb,1.0\nc,2.0\nb,3.0\n")
+    labels = tmp_path / "labels.csv"
+    write_labels_file(labels, {"a": 0, "b": 1, "c": 1})
+    rc = main(command + ["--scores", str(scores), "--labels", str(labels),
+                         "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{scores} line 5: duplicate subject_id 'b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("c_hat", float("nan"), "c_hat must be finite"),
+    ("c_hat", float("inf"), "c_hat must be finite"),
+    ("criterion", "accuracy", "unknown criterion 'accuracy'"),
+])
+def test_classify_rejects_bad_cutoff(ingested, tmp_path, capsys, field, value, message):
+    curves_dir, labels = ingested
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--curves", str(curves_dir / "curves.csv"),
+                 "--grid", str(curves_dir / "grid.json"), "--labels", str(labels),
+                 "--out", str(fit_out)]) == 0
+    cutoff = fit_out / "cutoff.json"
+    payload = json.loads(cutoff.read_text())
+    payload[field] = value
+    cutoff.write_text(json.dumps(payload))
+    rc = main(["classify", "--cutoff", str(cutoff),
+               "--curves", str(curves_dir / "curves.csv"),
+               "--grid", str(curves_dir / "grid.json"), "--out", str(tmp_path / "cls")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"cutoff file {cutoff}: {message}" in err
+    assert not (tmp_path / "cls" / "predictions.csv").exists()

@@ -1,7 +1,19 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_series, uniform_day_rows, write_labels_file, write_series_file
+from conftest import (
+    filter_days_oracle,
+    make_series,
+    parse_series_oracle,
+    uniform_day_rows,
+    write_labels_file,
+    write_series_file,
+)
+from funcutpoint import ingest
 from funcutpoint.ingest import (
     SubjectSeries,
     filter_days,
@@ -12,6 +24,7 @@ from funcutpoint.ingest import (
 )
 
 SEED = 20240815
+DAY_MINUTES = 1440
 
 
 def day_offsets(*holes, step=5):
@@ -278,3 +291,187 @@ def test_write_series_roundtrip(tmp_path):
     back, _ = parse_series(path, nominal_interval_minutes=15.0)
     np.testing.assert_array_equal(back[0].times, s.times)
     np.testing.assert_array_equal(back[0].values, s.values)
+
+
+# --- Columnar fast path against the per-row oracle --------------------------
+
+CANONICAL_STAMP = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}"
+
+
+@st.composite
+def timestamps(draw, odd=False):
+    # Years close together, so that timestamps of one subject collide.
+    stamp = draw(st.one_of(
+        st.datetimes(min_value=datetime(2024, 2, 28), max_value=datetime(2024, 3, 2)),
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+    )).replace(microsecond=0)
+    text = CANONICAL_STAMP.format(stamp.year, stamp.month, stamp.day,
+                                  stamp.hour, stamp.minute, stamp.second)
+    if not odd:
+        return text + draw(st.sampled_from(["Z", ""]))
+    if draw(st.integers(0, 3)) == 0:
+        # Out-of-range parts, e.g. 02-30, hour 24, second 60, year 0.
+        parts = draw(st.tuples(
+            st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+            st.integers(0, 24), st.integers(0, 60), st.integers(0, 61),
+        ))
+        return CANONICAL_STAMP.format(*parts) + draw(st.sampled_from(["", "Z"]))
+    return draw(st.sampled_from([
+        text + "+00:00", text + "+01:30", text + "-05:00", text + ".5",
+        text + ".250000Z", text[:10] + " " + text[11:], text[:16], text[:10],
+        " " + text + "Z", text + "z", "not-a-time",
+    ]))
+
+
+@st.composite
+def glucose_texts(draw, odd=False):
+    if odd:
+        return draw(st.sampled_from([
+            "-5", "+120", "nan", "inf", "1_0", "1e2", ".5", "5.", " 120", "120 ", "",
+            "1234567890123456", "0.1234567890123456", "12.3.4", "high",
+        ]))
+    digits = str(draw(st.integers(0, 10 ** 15 - 1))).zfill(draw(st.integers(1, 15)))
+    if draw(st.booleans()) or len(digits) == 1:
+        return digits
+    cut = draw(st.integers(1, len(digits) - 1))
+    return digits[:cut] + "." + digits[cut:]
+
+
+ODD_IDS = [" s1", "s1 ", "", "é", "s,1", '"s1"']
+
+
+@st.composite
+def series_files(draw):
+    """Series files, half of them wholly canonical, the rest with odd rows,
+    odd line endings, blank lines, a BOM or no final newline."""
+    odd = draw(st.booleans())
+    ids = draw(st.lists(st.sampled_from(["s1", "s2", "s10", "a b", "S1", "x" * 20]),
+                        min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        # An odd row has exactly one field in a non-canonical form.
+        odd_field = draw(st.sampled_from(["id", "stamp", "glucose"])) if (
+            odd and draw(st.integers(0, 7)) == 0) else None
+        sid = draw(st.sampled_from(ODD_IDS if odd_field == "id" else ids))
+        if "," in sid:
+            sid = f'"{sid}"'
+        lines.append(",".join([
+            sid, draw(timestamps(odd_field == "stamp")), draw(glucose_texts(odd_field == "glucose")),
+        ]))
+    eol = "\n"
+    if odd:
+        if lines and draw(st.integers(0, 3)) == 0:
+            lines.insert(draw(st.integers(0, len(lines))), "")
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["subject_id,timestamp,glucose"] + lines)
+    if draw(st.integers(0, 4)):
+        text += eol
+    if odd and draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+def outcome(parse, path):
+    try:
+        series, stats = parse(path)
+    except Exception as exc:  # the error itself is the outcome to compare
+        return type(exc), str(exc)
+    return [(s.subject_id, s.times, s.values, s.nominal_interval_minutes) for s in series], stats
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    assert got[1] == want[1]
+    assert list(got[1]) == list(want[1])
+    assert [g[0] for g in got[0]] == [w[0] for w in want[0]]
+    for (_, t, v, nominal), (_, t_want, v_want, nominal_want) in zip(got[0], want[0]):
+        assert t.dtype == np.int64 and v.dtype == np.float64
+        np.testing.assert_array_equal(t, t_want)
+        np.testing.assert_array_equal(v, v_want)
+        assert nominal == nominal_want
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=series_files(), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]))
+def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, data, block_rows):
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+
+
+def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
+    def per_row(path, nominal):
+        raise AssertionError("per-row parser called")
+
+    path = tmp_path / "series.csv"
+    path.write_bytes(
+        b"subject_id,timestamp,glucose\n"
+        b"b,2024-03-01T00:05:00Z,101\n"
+        b"a,2024-03-01T00:00:00,99.5\n"
+        b"b,2024-03-01T00:00:00Z,0038.25\n"
+        b"b,2024-03-01T00:05:00,7"
+    )
+    want = outcome(parse_series_oracle, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_parse_series_rows", per_row)
+        patch.setattr(ingest, "_BLOCK_ROWS", 2)
+        got = outcome(parse_series, path)
+    assert_same_outcome(got, want)
+    assert got[1]["b"] == {"records_in": 3, "deduped": 1, "clamped": 2}
+
+
+@pytest.mark.parametrize("line", [
+    b"s1,2024-03-01T00:00:00+00:00,100",
+    b"s1,2024-03-01T00:00:00.5Z,100",
+    b"s1,2024-03-01T00:00:00Z,100\r",
+    b'"s1",2024-03-01T00:00:00Z,100',
+    b" s1,2024-03-01T00:00:00Z,100",
+    b"s1 ,2024-03-01T00:00:00Z,100",
+    b"s1,2024-03-01T00:00:00Z,1_0",
+    b"s1,2024-03-01T00:00:00Z,nan",
+    b"s1,2024-02-30T00:00:00Z,100",
+    b"s1,2024-03-01T00:00:60Z,100",
+    b"s\xc3\xa9,2024-03-01T00:00:00Z,100",
+])
+def test_fast_path_declines_other_forms(tmp_path, monkeypatch, line):
+    calls = []
+    per_row = ingest._parse_series_rows
+
+    def spy(path, nominal):
+        calls.append(path)
+        return per_row(path, nominal)
+
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"subject_id,timestamp,glucose\n" + line + b"\n")
+    monkeypatch.setattr(ingest, "_parse_series_rows", spy)
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert calls == [path]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Runs of equal steps, in minutes: long runs of the nominal interval
+    # with jitter and holes of every size around the gap budgets.
+    runs=st.lists(
+        st.tuples(st.integers(1, 300), st.sampled_from([1, 4, 5, 6, 7, 8, 15, 20, 31, 61, 125])),
+        min_size=0, max_size=12,
+    ),
+    start=st.integers(-3 * DAY_MINUTES, 3 * DAY_MINUTES),
+    nominal=st.sampled_from([5.0, 15.0]),
+    max_gap=st.sampled_from([10.0, 30.0, 120.0, 200.5]),
+    gap_mode=st.sampled_from(["single", "cumulative"]),
+)
+def test_filter_days_matches_per_day_loop(runs, start, nominal, max_gap, gap_mode):
+    steps = [step for count, step in runs for _ in range(count)]
+    offsets = start + np.cumsum(np.asarray(steps, dtype=np.int64))
+    s = make_series("s1", offsets, np.arange(offsets.size, dtype=float), nominal=nominal)
+    out = filter_days(s, max_gap, gap_mode)
+    times, values, retained = filter_days_oracle(s, max_gap, gap_mode)
+    np.testing.assert_array_equal(out.times, times)
+    np.testing.assert_array_equal(out.values, values)
+    assert out.retained_days == retained
