@@ -208,14 +208,22 @@ def bootstrap_cutpoint(
 
     def one_replicate(rng):
         idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        est_idx = idx[:k_split] if k_split else idx
-        eval_idx = idx[k_split:] if k_split else idx
+        # One gather per replicate. Leading rows of a C-contiguous array
+        # reduce in the same order as a copy of them, so mu and sigma are
+        # exact; the evaluation rows are then standardised in place (mu_b
+        # and sigma_b never alias them).
+        sample = matrix[idx]
+        k_est = k_split or n
         mu_b, sigma_b = _estimate_mu_matrix(
-            matrix[est_idx], labels_arr[est_idx], mu_mode, group, with_sigma
+            sample[:k_est], labels_arr[idx[:k_est]], mu_mode, group, with_sigma
         )
-        margins_b = np.min((matrix[eval_idx] - mu_b) / sigma_b, axis=1)
-        res = optimize(margins_b, labels_arr[eval_idx], criterion)
-        sens_row, spec_row = sweep_metrics(margins_b, labels_arr[eval_idx], ref_grid)
+        ev = sample[k_split:]
+        ev -= mu_b
+        ev /= sigma_b
+        margins_b = ev.min(axis=1)
+        lab_eval = labels_arr[idx[k_split:]]
+        res = optimize(margins_b, lab_eval, criterion)
+        sens_row, spec_row = sweep_metrics(margins_b, lab_eval, ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,
@@ -252,8 +260,9 @@ def bootstrap_scalar(
 
     def one_replicate(rng):
         idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        res = optimize(scores[idx], labels_arr[idx], criterion)
-        sens_row, spec_row = sweep_metrics(scores[idx], labels_arr[idx], ref_grid)
+        s, lab = scores[idx], labels_arr[idx]
+        res = optimize(s, lab, criterion)
+        sens_row, spec_row = sweep_metrics(s, lab, ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,

@@ -28,11 +28,8 @@ from .bootstrap import (
 )
 from .cutpoint import (
     CRITERIA,
-    auc,
     confusion_at,
     optimize,
-    roc_points,
-    validate_sample,
     write_result_json,
     write_roc_csv,
     write_sweep_csv,
@@ -364,15 +361,10 @@ def cmd_roc(args, out_dir: Path) -> None:
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         if args.direction == "low":
             scores = -scores
-    scores, labels_arr = validate_sample(scores, labels_arr)
-    fpr, tpr = roc_points(scores, labels_arr)
-    with open(out_dir / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for f, t in zip(fpr, tpr):
-            writer.writerow([repr(float(f)), repr(float(t))])
+    result = optimize(scores, labels_arr)
+    write_roc_csv(out_dir / "roc.csv", result)
     payload = {
-        "auc": auc(scores, labels_arr),
+        "auc": result.auc,
         "n_cases": int(labels_arr.sum()),
         "n_controls": int((1 - labels_arr).sum()),
     }

@@ -180,7 +180,11 @@ def optimize(
         best = best[sec == sec.max()]
     i = int(best[0])
 
-    fpr, tpr = roc_points(scores, labels)
+    if c_grid is None and bounds is None:
+        # The sweep ran over the full candidate set: it is the ROC.
+        fpr, tpr = (1.0 - spec)[::-1], sens[::-1]
+    else:
+        fpr, tpr = roc_points(scores, labels)
     return CutpointResult(
         criterion=criterion,
         c_hat=float(cs[i]),

@@ -104,14 +104,16 @@ def generate_arrays(params: DgpParams, rng: np.random.Generator):
     base = params.a * zf + u1
     if params.u2_mode == "literal":
         base = base + u2 * params.v
-        matrix = base[:, None] + coef[:, None] * q0[None, :]
+        # coef*q0 + base in place: the same sums as base + coef*q0.
+        matrix = np.multiply.outer(coef, q0)
+        matrix += base[:, None]
     else:
         matrix = (
             base[:, None]
             + (u2 * params.v)[:, None] * params.grid[None, :]
             + coef[:, None] * q0[None, :]
         )
-    if np.any(np.diff(matrix, axis=1) < 0.0):
+    if np.any(matrix[:, 1:] < matrix[:, :-1]):
         raise ValueError(
             "generated curves are not monotone (literal spread with "
             "rho-scaled u2 can produce decreasing control curves)"
@@ -147,8 +149,8 @@ def _replicate(cell_index, cell, r, seed, criteria, v, grid,
         if regenerated > _MAX_REGENERATIONS:
             raise RuntimeError("could not draw a cohort with both classes")
         matrix, z = generate_arrays(params, rng)
-    mu = matrix.mean(axis=0)
-    margins = np.min(matrix - mu[None, :], axis=1)
+    matrix -= matrix.mean(axis=0)
+    margins = matrix.min(axis=1)
     results = []
     for criterion in criteria:
         res = optimize(margins, z, criterion)

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 
+from funcutpoint.cutpoint import optimize, sweep_metrics
 from funcutpoint.ingest import SubjectSeries
+from funcutpoint.threshold import SIGMA_FLOOR, estimate_mu, margin_vector
 
 DAY = 86400
 
@@ -213,3 +216,78 @@ def filter_days_oracle(series, max_gap_minutes=120.0, gap_mode="cumulative"):
             keep[mask] = True
             retained += 1
     return t[keep], series.values[keep], retained
+
+
+def bootstrap_cutpoint_oracle(curves, labels, criterion="youden", B=20, alpha=0.05,
+                              seed=0, max_redraws=100, mu_mode="pooled-mean",
+                              group=0, with_sigma=False, split_fraction=None):
+    """Per-replicate functional bootstrap with fresh temporaries.
+
+    Gathers the estimation and evaluation rows separately, computes the
+    margins out of place as min((rows - mu) / sigma), and calls optimize and
+    sweep_metrics on each replicate. Same seed substreams and redraw rule
+    as bootstrap.bootstrap_cutpoint; the reference its in-place replicate
+    must match bit for bit. Returns c_hats, metric_cis, the sweep bands and
+    the curve band as a dict.
+    """
+    labels_arr = np.array([labels[c.subject_id] for c in curves], dtype=int)
+    family = estimate_mu(curves, mu_mode, labels=labels, group=group,
+                         with_sigma=with_sigma)
+    margins = np.array(list(margin_vector(curves, family).values()))
+    ref_grid = np.linspace(margins.min(), margins.max(), 512)
+    matrix = np.vstack([c.values for c in curves])
+    n = matrix.shape[0]
+    k = 0 if split_fraction is None else math.ceil(split_fraction * n)
+
+    c_hats, metrics, sens_rows, spec_rows, curve_rows = [], [], [], [], []
+    for b in range(B):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        for _ in range(max_redraws + 1):
+            idx = rng.integers(0, n, size=n)
+            lab_eval = labels_arr[idx[k:]]
+            ok = lab_eval.min() != lab_eval.max()
+            if ok and mu_mode == "group-mean" and k > 0:
+                ok = bool(np.any(labels_arr[idx[:k]] == group))
+            if ok:
+                break
+        else:
+            raise RuntimeError("bootstrap infeasible: class too rare")
+        est_idx = idx[:k] if k else idx
+        eval_idx = idx[k:]
+        est = matrix[est_idx]
+        if mu_mode == "pooled-mean":
+            mu = est.mean(axis=0)
+        elif mu_mode == "group-mean":
+            mu = est[labels_arr[est_idx] == group].mean(axis=0)
+        else:
+            mu = np.sort(est, axis=0)[(est.shape[0] - 1) // 2]
+        if with_sigma:
+            sigma = np.maximum(est.std(axis=0, ddof=1), SIGMA_FLOOR)
+        else:
+            sigma = np.ones_like(mu)
+        margins_b = np.min((matrix[eval_idx] - mu) / sigma, axis=1)
+        res = optimize(margins_b, labels_arr[eval_idx], criterion)
+        sens_row, spec_row = sweep_metrics(margins_b, labels_arr[eval_idx], ref_grid)
+        c_hats.append(res.c_hat)
+        metrics.append((res.sensitivity, res.specificity, res.youden, res.auc))
+        sens_rows.append(sens_row)
+        spec_rows.append(spec_row)
+        curve_rows.append(mu + res.c_hat * sigma)
+
+    qs = [alpha / 2.0, 1.0 - alpha / 2.0]
+
+    def band(rows):
+        return np.quantile(np.vstack(rows), qs, axis=0, method="linear")
+
+    metrics = np.array(metrics)
+    return {
+        "c_hats": np.array(c_hats),
+        "metric_cis": {
+            name: tuple(float(v) for v in np.quantile(metrics[:, j], qs, method="linear"))
+            for j, name in enumerate(("sensitivity", "specificity", "youden", "auc"))
+        },
+        "sweep_c": ref_grid,
+        "sens_band": band(sens_rows),
+        "spec_band": band(spec_rows),
+        "curve_band": band(curve_rows),
+    }

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import bootstrap_cutpoint_oracle
 from funcutpoint.bootstrap import (
     BootstrapConfig,
     _percentile_ci,
@@ -152,6 +153,27 @@ def test_functional_bootstrap_reestimates_mu():
     margins_b = np.min(matrix[idx] - mu_b[None, :], axis=1)
     expect = optimize(margins_b, labels_arr[idx], "youden")
     assert summary.c_hats[0] == expect.c_hat
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("split_fraction", [None, 0.5])
+@pytest.mark.parametrize("with_sigma", [False, True])
+@pytest.mark.parametrize("mu_mode", ["pooled-mean", "group-mean", "pointwise-median"])
+def test_functional_bootstrap_matches_per_replicate_oracle(mu_mode, with_sigma,
+                                                           split_fraction, threads):
+    """The in-place replicate reproduces the out-of-place one bit for bit."""
+    curves, labels = generate(DgpParams(a=1.0, b=1.0, n=40, seed=21))
+    kwargs = dict(mu_mode=mu_mode, group=1, with_sigma=with_sigma,
+                  split_fraction=split_fraction)
+    got = bootstrap_cutpoint(curves, labels, "youden",
+                             BootstrapConfig(B=25, seed=13), threads=threads, **kwargs)
+    want = bootstrap_cutpoint_oracle(curves, labels, "youden", B=25, seed=13, **kwargs)
+    np.testing.assert_array_equal(got.c_hats, want["c_hats"])
+    assert got.metric_cis == want["metric_cis"]
+    np.testing.assert_array_equal(got.sweep_c, want["sweep_c"])
+    np.testing.assert_array_equal([got.sens_lower, got.sens_upper], want["sens_band"])
+    np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
+    np.testing.assert_array_equal([got.curve_lower, got.curve_upper], want["curve_band"])
 
 
 def test_functional_bootstrap_thread_invariance():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint.cli import main
+from funcutpoint.cutpoint import roc_points
 from funcutpoint.quantiles import default_grid, read_curves_csv, read_grid_json
 from funcutpoint.threshold import ThresholdFamily, write_cutoff_json
 
@@ -399,6 +400,28 @@ def test_roc_scalar_known_value(tmp_path):
     assert rc == 0
     payload = json.loads((out / "auc.json").read_text())
     assert payload["auc"] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["high", "low"])
+def test_roc_agrees_with_fit_and_roc_points(scores_files, tmp_path, direction):
+    """On tied scores (integer ages) roc writes fit's roc.csv byte for byte,
+    the full-sweep roc_points rows, and fit's AUC."""
+    scores, labels = scores_files
+    args = ["--scores", str(scores), "--score-column", "age", "--labels", str(labels),
+            "--direction", direction]
+    assert main(["roc", *args, "--out", str(tmp_path / "roc")]) == 0
+    assert main(["fit", *args, "--out", str(tmp_path / "fit")]) == 0
+    roc_csv = (tmp_path / "roc" / "roc.csv").read_bytes()
+    assert roc_csv == (tmp_path / "fit" / "roc.csv").read_bytes()
+
+    with open(scores, newline="") as fh:
+        ages = np.array([float(row["age"]) for row in csv.DictReader(fh)])
+    z = np.arange(ages.size) % 2
+    fpr, tpr = roc_points(-ages if direction == "low" else ages, z)
+    rows = ["fpr,tpr"] + [f"{float(f)!r},{float(t)!r}" for f, t in zip(fpr, tpr)]
+    assert roc_csv.decode().splitlines() == rows
+    fit_auc = json.loads((tmp_path / "fit" / "result.json").read_text())["auc"]
+    assert json.loads((tmp_path / "roc" / "auc.json").read_text())["auc"] == fit_auc
 
 
 def duplicated_curves(ingested, tmp_path):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_cutpoint, mann_whitney
 from funcutpoint.cutpoint import (
@@ -117,6 +119,41 @@ def test_optimize_agrees_with_exhaustive_search():
             assert res.c_hat == c
             assert res.sensitivity == sens
             assert res.specificity == spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Scores rounded to one decimal in [-1, 1]: at most 21 distinct values,
+    # so most samples carry heavy ties within and across the classes.
+    st.lists(st.tuples(st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+                       st.integers(0, 1)), min_size=2, max_size=40),
+)
+def test_optimize_agrees_with_exhaustive_search_on_tied_scores(pairs):
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([z for _, z in pairs])
+    assume(labels.min() != labels.max())
+    for criterion in CRITERIA:
+        res = optimize(scores, labels, criterion)
+        assert (res.c_hat, res.sensitivity, res.specificity) == \
+            brute_force_cutpoint(scores, labels, criterion)
+
+
+def test_optimize_roc_is_the_full_candidate_roc():
+    """ROC and AUC come from the unrestricted sweep, with or without bounds
+    and grids, and equal roc_points and auc() exactly."""
+    rng = np.random.default_rng(SEED + 8)
+    for k in range(40):
+        scores, labels = random_sample(rng, max_n=60, discrete=(k % 2 == 0))
+        fpr, tpr = roc_points(scores, labels)
+        area = auc(scores, labels)
+        lo, hi = float(scores.min()), float(scores.max())
+        for kwargs in ({}, {"bounds": (lo, hi)},
+                       {"c_grid": np.linspace(lo, hi, 7)},
+                       {"bounds": (lo, hi), "c_grid": np.linspace(lo, hi, 7)}):
+            res = optimize(scores, labels, **kwargs)
+            np.testing.assert_array_equal(res.roc_fpr, fpr)
+            np.testing.assert_array_equal(res.roc_tpr, tpr)
+            assert res.auc == area
 
 
 def test_tie_breaks():

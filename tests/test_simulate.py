@@ -90,6 +90,53 @@ def test_rho_scaled_u2_modes():
     assert np.all(np.diff(matrix, axis=1) >= 0)
 
 
+def out_of_place_arrays(params, rng):
+    """generate_arrays with fresh temporaries and an np.diff monotonicity
+    test: the reference for its in-place build."""
+    draws = rng.random((params.n, 4))
+    z = (draws[:, 0] < 0.5).astype(int)
+    zf = z.astype(float)
+    u1 = 2.0 * draws[:, 1] - 1.0
+    u2 = 2.0 * draws[:, 2] - 1.0
+    u3 = 0.8 + 0.4 * draws[:, 3]
+    q0 = tn_quantile(params.tn, params.grid)
+    if params.spread_mode == "literal":
+        coef = (BASE_SPREAD + params.b) * zf * u3
+    else:
+        coef = BASE_SPREAD + params.b * zf * u3
+    base = params.a * zf + u1
+    if params.u2_mode == "literal":
+        matrix = (base + u2 * params.v)[:, None] + coef[:, None] * q0[None, :]
+    else:
+        matrix = (base[:, None] + (u2 * params.v)[:, None] * params.grid[None, :]
+                  + coef[:, None] * q0[None, :])
+    if np.any(np.diff(matrix, axis=1) < 0.0):
+        raise ValueError("not monotone")
+    return matrix, z
+
+
+@pytest.mark.parametrize("u2_mode", ["literal", "rho-scaled"])
+@pytest.mark.parametrize("spread_mode", ["shared-base", "literal"])
+def test_generate_arrays_matches_out_of_place_formula(spread_mode, u2_mode):
+    for seed, (a, b) in enumerate([(0.0, 0.0), (1.5, 0.0), (0.5, 2.0), (3.0, 1.0)]):
+        params = DgpParams(a=a, b=b, n=200, v=2.0, spread_mode=spread_mode,
+                           u2_mode=u2_mode)
+
+        def rng():
+            return np.random.default_rng(np.random.SeedSequence(seed))
+
+        if spread_mode == "literal" and u2_mode == "rho-scaled":
+            with pytest.raises(ValueError, match="not monotone"):
+                out_of_place_arrays(params, rng())
+            with pytest.raises(ValueError, match="not monotone"):
+                generate_arrays(params, rng())
+            continue
+        matrix, z = generate_arrays(params, rng())
+        want, want_z = out_of_place_arrays(params, rng())
+        assert np.array_equal(matrix, want)
+        assert np.array_equal(z, want_z)
+
+
 def test_generate_is_deterministic():
     params = DgpParams(a=2.0, b=1.0, n=30, seed=4)
     first, labels1 = generate(params)
