@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cutpoint import optimize, sweep_metrics, validate_sample
+from .cutpoint import _sorted_sweep, _sweep_result, optimize, validate_sample
 from .threshold import SIGMA_FLOOR, estimate_mu, margin_vector
 
 __all__ = [
@@ -220,10 +220,10 @@ def bootstrap_cutpoint(
         ev = sample[k_split:]
         ev -= mu_b
         ev /= sigma_b
-        margins_b = ev.min(axis=1)
         lab_eval = labels_arr[idx[k_split:]]
-        res = optimize(margins_b, lab_eval, criterion)
-        sens_row, spec_row = sweep_metrics(margins_b, lab_eval, ref_grid)
+        sweep = _sorted_sweep(*validate_sample(ev.min(axis=1), lab_eval))
+        res = _sweep_result(sweep, criterion)
+        sens_row, spec_row = sweep.rates_at(ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,
@@ -260,9 +260,10 @@ def bootstrap_scalar(
 
     def one_replicate(rng):
         idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        s, lab = scores[idx], labels_arr[idx]
-        res = optimize(s, lab, criterion)
-        sens_row, spec_row = sweep_metrics(s, lab, ref_grid)
+        # The resample of a validated sample with both classes present.
+        sweep = _sorted_sweep(scores[idx], labels_arr[idx])
+        res = _sweep_result(sweep, criterion)
+        sens_row, spec_row = sweep.rates_at(ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,

@@ -100,6 +100,16 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from None
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return count
+
+
 def _criteria_list(text: str):
     names = [v for v in text.split(",") if v != ""]
     for name in names:
@@ -407,7 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_thread_count, default=1,
+                        help="worker threads for bootstrap replicates; results "
+                             "do not depend on it, and simulate runs serially")
 
     parser = argparse.ArgumentParser(
         prog="funcutpoint",

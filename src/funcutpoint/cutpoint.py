@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +131,97 @@ def auc(scores, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+class _Sweep(NamedTuple):
+    """One sorted sample and its exact sweep over the candidate set.
+
+    cases_below[k] is the number of cases among values[:k]; cs, sens and
+    spec are the sweep over the distinct scores plus the sentinel.
+    """
+
+    values: np.ndarray
+    cases_below: np.ndarray
+    cs: np.ndarray
+    sens: np.ndarray
+    spec: np.ndarray
+
+    def rates_at(self, cs):
+        """(sensitivity, specificity) at arbitrary thresholds cs, as
+        sweep_metrics gives them, without sorting again."""
+        below = np.searchsorted(self.values, cs, side="left")
+        return _rates(self.cases_below, below)
+
+
+def _rates(cases_below, below):
+    # The integer counts sweep_metrics divides, over the same class sizes,
+    # so the quotients are bit-identical to its own.
+    n_case = int(cases_below[-1])
+    n_ctrl = cases_below.size - 1 - n_case
+    case_lt = cases_below[below]
+    return (n_case - case_lt) / n_case, (below - case_lt) / n_ctrl
+
+
+def _sorted_sweep(scores, labels) -> _Sweep:
+    """The candidate_set/sweep_metrics sweep of a validated sample from a
+    single argsort.
+
+    The candidates are the first value of each run of equal sorted scores
+    plus max + 1. +0.0 and -0.0 compare equal, and candidate_set keeps
+    whichever zero np.unique's own sort puts first; when the zero run
+    holds both signs, the zero candidate is taken from np.unique so that
+    c_hat and the sweep print the same sign.
+    """
+    order = np.argsort(scores)
+    values = scores[order]
+    cases_below = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(labels[order], out=cases_below[1:])
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    cs = np.append(values[starts], values[-1] + 1.0)
+    below = np.append(starts, values.size)
+    k = int(np.searchsorted(cs, 0.0))
+    if k < starts.size and cs[k] == 0.0:
+        signs = np.signbit(values[below[k]:below[k + 1]])
+        if signs.any() and not signs.all():
+            cs[k] = np.unique(scores)[k]
+    sens, spec = _rates(cases_below, below)
+    return _Sweep(values, cases_below, cs, sens, spec)
+
+
+def _pick(sens, spec, criterion: str) -> int:
+    """Index of the optimum under optimize's tie-break order."""
+    if criterion == "youden":
+        # argmax returns the first, i.e. smallest-c, maximiser.
+        return int(np.argmax(sens + spec - 1.0))
+    primary, secondary = (sens, spec) if criterion == "max_sensitivity" else (spec, sens)
+    best = np.flatnonzero(primary == primary.max())
+    sec = secondary[best]
+    return int(best[sec == sec.max()][0])
+
+
+def _result(criterion, cs, sens, spec, fpr, tpr) -> CutpointResult:
+    i = _pick(sens, spec, criterion)
+    youden = sens + spec - 1.0
+    return CutpointResult(
+        criterion=criterion,
+        c_hat=float(cs[i]),
+        sensitivity=float(sens[i]),
+        specificity=float(spec[i]),
+        youden=float(youden[i]),
+        sweep_c=cs,
+        sweep_sensitivity=sens,
+        sweep_specificity=spec,
+        sweep_youden=youden,
+        roc_fpr=fpr,
+        roc_tpr=tpr,
+        auc=float(np.trapezoid(tpr, fpr)),
+    )
+
+
+def _sweep_result(sweep: _Sweep, criterion: str) -> CutpointResult:
+    """optimize's result over the full candidate sweep, which is the ROC."""
+    return _result(criterion, sweep.cs, sweep.sens, sweep.spec,
+                   (1.0 - sweep.spec)[::-1], sweep.sens[::-1])
+
+
 def optimize(
     scores,
     labels,
@@ -148,6 +240,8 @@ def optimize(
     scores, labels = validate_sample(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
+    if c_grid is None and bounds is None:
+        return _sweep_result(_sorted_sweep(scores, labels), criterion)
 
     if c_grid is not None:
         cs = np.asarray(c_grid, dtype=float)
@@ -165,40 +259,7 @@ def optimize(
             raise ValueError("no candidate cut-points inside bounds")
 
     sens, spec = sweep_metrics(scores, labels, cs)
-    youden = sens + spec - 1.0
-
-    if criterion == "youden":
-        primary, secondary = youden, None
-    elif criterion == "max_sensitivity":
-        primary, secondary = sens, spec
-    else:
-        primary, secondary = spec, sens
-
-    best = np.flatnonzero(primary == primary.max())
-    if secondary is not None:
-        sec = secondary[best]
-        best = best[sec == sec.max()]
-    i = int(best[0])
-
-    if c_grid is None and bounds is None:
-        # The sweep ran over the full candidate set: it is the ROC.
-        fpr, tpr = (1.0 - spec)[::-1], sens[::-1]
-    else:
-        fpr, tpr = roc_points(scores, labels)
-    return CutpointResult(
-        criterion=criterion,
-        c_hat=float(cs[i]),
-        sensitivity=float(sens[i]),
-        specificity=float(spec[i]),
-        youden=float(youden[i]),
-        sweep_c=cs,
-        sweep_sensitivity=sens,
-        sweep_specificity=spec,
-        sweep_youden=youden,
-        roc_fpr=fpr,
-        roc_tpr=tpr,
-        auc=float(np.trapezoid(tpr, fpr)),
-    )
+    return _result(criterion, cs, sens, spec, *roc_points(scores, labels))
 
 
 def write_sweep_csv(path, result: CutpointResult) -> None:

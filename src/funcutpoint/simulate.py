@@ -24,12 +24,11 @@ produce decreasing control curves, which generation rejects.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutpoint import CRITERIA, optimize
+from .cutpoint import CRITERIA, _pick, _sorted_sweep, validate_sample
 from .normal import TruncNormalSpec, norm_quantile, tn_quantile
 from .quantiles import QuantileCurve, check_grid, default_grid
 
@@ -81,12 +80,13 @@ class DgpParams:
         object.__setattr__(self, "grid", grid)
 
 
-def generate_arrays(params: DgpParams, rng: np.random.Generator):
+def generate_arrays(params: DgpParams, rng: np.random.Generator, q0=None):
     """One cohort as (curve matrix of shape (n, m), labels z).
 
     Per subject the draws are consumed in the fixed order Z, U1, U2, U3
     (one row of uniforms each), so the stream is stable across modes and
-    parameter values.
+    parameter values. q0 is tn_quantile(params.tn, params.grid), passed by
+    callers that draw many cohorts on one grid.
     """
     draws = rng.random((params.n, 4))
     z = (draws[:, 0] < 0.5).astype(int)
@@ -94,7 +94,8 @@ def generate_arrays(params: DgpParams, rng: np.random.Generator):
     u2 = 2.0 * draws[:, 2] - 1.0
     u3 = 0.8 + 0.4 * draws[:, 3]
 
-    q0 = tn_quantile(params.tn, params.grid)
+    if q0 is None:
+        q0 = tn_quantile(params.tn, params.grid)
     zf = z.astype(float)
     if params.spread_mode == "literal":
         coef = (BASE_SPREAD + params.b) * zf * u3
@@ -136,26 +137,24 @@ def generate(params: DgpParams, rng: np.random.Generator | None = None):
     return curves, labels
 
 
-def _replicate(cell_index, cell, r, seed, criteria, v, grid,
-               spread_mode, u2_mode, tn):
-    a, b, n = cell
-    params = DgpParams(a=a, b=b, n=int(n), v=v, grid=grid,
-                       spread_mode=spread_mode, u2_mode=u2_mode, tn=tn)
+def _replicate(cell_index, r, params, q0, seed, criteria):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell_index, r)))
-    matrix, z = generate_arrays(params, rng)
+    matrix, z = generate_arrays(params, rng, q0)
     regenerated = 0
     while z.min() == z.max():
         regenerated += 1
         if regenerated > _MAX_REGENERATIONS:
             raise RuntimeError("could not draw a cohort with both classes")
-        matrix, z = generate_arrays(params, rng)
+        matrix, z = generate_arrays(params, rng, q0)
     matrix -= matrix.mean(axis=0)
-    margins = matrix.min(axis=1)
+    # One sweep serves every criterion: it is what optimize(margins, z, c)
+    # scans, so each pick equals that call's sensitivity and specificity.
+    sweep = _sorted_sweep(*validate_sample(matrix.min(axis=1), z))
     results = []
     for criterion in criteria:
-        res = optimize(margins, z, criterion)
-        results.append((criterion, res.sensitivity, res.specificity))
-    return cell_index, r, results, regenerated
+        i = _pick(sweep.sens, sweep.spec, criterion)
+        results.append((criterion, float(sweep.sens[i]), float(sweep.spec[i])))
+    return results, regenerated
 
 
 def run_study(
@@ -176,8 +175,9 @@ def run_study(
     (seed, cell_index, r), fits the pooled-mean margin cut-point under
     every criterion on that same cohort, and records in-sample
     sensitivity and specificity. Single-class cohorts are regenerated
-    from the same substream and counted. Output order and values are
-    independent of the thread count.
+    from the same substream and counted. Replicates run one after
+    another: `threads` is accepted for compatibility and affects neither
+    the results nor their order.
     """
     cells = [(float(a), float(b), int(n)) for a, b, n in cells]
     if not cells:
@@ -189,33 +189,24 @@ def run_study(
     if R < 1:
         raise ValueError("R must be at least 1")
     grid = default_grid() if grid is None else check_grid(grid)
-
-    tasks = [(ci, cell, r) for ci, cell in enumerate(cells) for r in range(R)]
-
-    def work(task):
-        ci, cell, r = task
-        return _replicate(ci, cell, r, seed, criteria, v, grid,
-                          spread_mode, u2_mode, tn)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(t) for t in tasks]
+    q0 = tn_quantile(tn, grid)
 
     rows = []
     regenerated = 0
-    for ci, r, results, regen in outcomes:
-        a, b, n = cells[ci]
-        regenerated += regen
-        for criterion, sens, spec in results:
-            rows.append({
-                "a": a, "b": b, "n": n,
-                "criterion": criterion,
-                "replicate": r,
-                "sensitivity": sens,
-                "specificity": spec,
-            })
+    for ci, (a, b, n) in enumerate(cells):
+        params = DgpParams(a=a, b=b, n=n, v=v, grid=grid,
+                           spread_mode=spread_mode, u2_mode=u2_mode, tn=tn)
+        for r in range(R):
+            results, regen = _replicate(ci, r, params, q0, seed, criteria)
+            regenerated += regen
+            for criterion, sens, spec in results:
+                rows.append({
+                    "a": a, "b": b, "n": n,
+                    "criterion": criterion,
+                    "replicate": r,
+                    "sensitivity": sens,
+                    "specificity": spec,
+                })
     return rows, {"regenerated": regenerated}
 
 

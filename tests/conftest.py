@@ -14,8 +14,18 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from funcutpoint.cutpoint import optimize, sweep_metrics
+from funcutpoint.cutpoint import (
+    CRITERIA,
+    CutpointResult,
+    candidate_set,
+    optimize,
+    roc_points,
+    sweep_metrics,
+    validate_sample,
+)
 from funcutpoint.ingest import SubjectSeries
+from funcutpoint.normal import TruncNormalSpec
+from funcutpoint.simulate import DgpParams, generate_arrays
 from funcutpoint.threshold import SIGMA_FLOOR, estimate_mu, margin_vector
 
 DAY = 86400
@@ -50,6 +60,47 @@ def brute_force_cutpoint(scores, labels, criterion):
         if best is None or key > best[0]:
             best = (key, c, sens, spec)
     return best[1], best[2], best[3]
+
+
+def optimize_oracle(scores, labels, criterion="youden"):
+    """optimize over the unrestricted candidate set by candidate_set and
+    sweep_metrics: two sorts per class and an np.unique per sweep.
+
+    The reference for optimize's single-argsort sweep, which must match
+    every field bit for bit, signed zeros included.
+    """
+    scores, labels = validate_sample(scores, labels)
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion: {criterion!r}")
+    cs = candidate_set(scores)
+    sens, spec = sweep_metrics(scores, labels, cs)
+    youden = sens + spec - 1.0
+    if criterion == "youden":
+        primary, secondary = youden, None
+    elif criterion == "max_sensitivity":
+        primary, secondary = sens, spec
+    else:
+        primary, secondary = spec, sens
+    best = np.flatnonzero(primary == primary.max())
+    if secondary is not None:
+        sec = secondary[best]
+        best = best[sec == sec.max()]
+    i = int(best[0])
+    fpr, tpr = roc_points(scores, labels)
+    return CutpointResult(
+        criterion=criterion,
+        c_hat=float(cs[i]),
+        sensitivity=float(sens[i]),
+        specificity=float(spec[i]),
+        youden=float(youden[i]),
+        sweep_c=cs,
+        sweep_sensitivity=sens,
+        sweep_specificity=spec,
+        sweep_youden=youden,
+        roc_fpr=fpr,
+        roc_tpr=tpr,
+        auc=float(np.trapezoid(tpr, fpr)),
+    )
 
 
 def mann_whitney(scores, labels) -> float:
@@ -291,3 +342,77 @@ def bootstrap_cutpoint_oracle(curves, labels, criterion="youden", B=20, alpha=0.
         "spec_band": band(spec_rows),
         "curve_band": band(curve_rows),
     }
+
+
+def bootstrap_scalar_oracle(scores, labels, criterion="youden", B=20, alpha=0.05,
+                            seed=0, max_redraws=100):
+    """Per-replicate scalar bootstrap: optimize_oracle and sweep_metrics
+    on each resample. Same seed substreams and redraw rule as
+    bootstrap.bootstrap_scalar; the reference its single-sort replicate
+    must match bit for bit. Returns c_hats, metric_cis, the sweep bands
+    and the redraw count as a dict.
+    """
+    scores, labels = validate_sample(scores, labels)
+    n = scores.size
+    ref_grid = np.linspace(scores.min(), scores.max(), 512)
+    c_hats, metrics, sens_rows, spec_rows, redraws = [], [], [], [], 0
+    for b in range(B):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        for _ in range(max_redraws + 1):
+            idx = rng.integers(0, n, size=n)
+            if labels[idx].min() != labels[idx].max():
+                break
+            redraws += 1
+        else:
+            raise RuntimeError("bootstrap infeasible: class too rare")
+        res = optimize_oracle(scores[idx], labels[idx], criterion)
+        sens_row, spec_row = sweep_metrics(scores[idx], labels[idx], ref_grid)
+        c_hats.append(res.c_hat)
+        metrics.append((res.sensitivity, res.specificity, res.youden, res.auc))
+        sens_rows.append(sens_row)
+        spec_rows.append(spec_row)
+
+    qs = [alpha / 2.0, 1.0 - alpha / 2.0]
+    metrics = np.array(metrics)
+    return {
+        "c_hats": np.array(c_hats),
+        "metric_cis": {
+            name: tuple(float(v) for v in np.quantile(metrics[:, j], qs, method="linear"))
+            for j, name in enumerate(("sensitivity", "specificity", "youden", "auc"))
+        },
+        "sweep_c": ref_grid,
+        "sens_band": np.quantile(np.vstack(sens_rows), qs, axis=0, method="linear"),
+        "spec_band": np.quantile(np.vstack(spec_rows), qs, axis=0, method="linear"),
+        "redraws": redraws,
+    }
+
+
+def run_study_oracle(cells, criteria=CRITERIA, R=100, seed=0, v=2.0, grid=None,
+                     spread_mode="shared-base", u2_mode="literal",
+                     tn=TruncNormalSpec()):
+    """Per-replicate study loop: DgpParams and q0 (inside generate_arrays)
+    rebuilt for every replicate, margins out of place, one optimize_oracle
+    per criterion. Same seed substreams (seed, cell, r) and regeneration
+    rule as simulate.run_study; the reference its rows and meta must equal.
+    """
+    rows, regenerated = [], 0
+    for ci, (a, b, n) in enumerate(cells):
+        for r in range(R):
+            params = DgpParams(a=float(a), b=float(b), n=int(n), v=v, grid=grid,
+                               spread_mode=spread_mode, u2_mode=u2_mode, tn=tn)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci, r)))
+            matrix, z = generate_arrays(params, rng)
+            while z.min() == z.max():
+                regenerated += 1
+                matrix, z = generate_arrays(params, rng)
+            margins = np.min(matrix - matrix.mean(axis=0), axis=1)
+            for criterion in criteria:
+                res = optimize_oracle(margins, z, criterion)
+                rows.append({
+                    "a": float(a), "b": float(b), "n": int(n),
+                    "criterion": criterion,
+                    "replicate": r,
+                    "sensitivity": res.sensitivity,
+                    "specificity": res.specificity,
+                })
+    return rows, {"regenerated": regenerated}

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bootstrap_cutpoint_oracle
+from conftest import bootstrap_cutpoint_oracle, bootstrap_scalar_oracle
 from funcutpoint.bootstrap import (
     BootstrapConfig,
     _percentile_ci,
@@ -86,6 +86,28 @@ def test_scalar_bootstrap_determinism_and_threads():
     np.testing.assert_array_equal(one.c_hats, four.c_hats)
     assert one.ci == two.ci == four.ci
     np.testing.assert_array_equal(one.sens_lower, four.sens_lower)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("criterion", ["youden", "max_sensitivity", "max_specificity"])
+def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, threads):
+    """The single-sort replicate reproduces optimize plus sweep_metrics per
+    resample bit for bit, on tied scores with zeros of both signs."""
+    rng = np.random.default_rng(SEED + 9)
+    # Zero-valued scores are cases and every control lies below zero or at
+    # 0.5, so c_hat is often the zero candidate, whose sign must match.
+    scores = np.concatenate([rng.choice([-0.0, 0.0, 0.5, 1.0], 24),
+                             rng.choice([-1.0, -0.5, 0.5], 16)])
+    labels = np.repeat([1, 0], [24, 16])
+    got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3),
+                           threads=threads)
+    want = bootstrap_scalar_oracle(scores, labels, criterion, B=40, seed=3)
+    assert [v.hex() for v in got.c_hats] == [v.hex() for v in want["c_hats"]]
+    assert got.metric_cis == want["metric_cis"]
+    assert got.redraws == want["redraws"]
+    np.testing.assert_array_equal(got.sweep_c, want["sweep_c"])
+    np.testing.assert_array_equal([got.sens_lower, got.sens_upper], want["sens_band"])
+    np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
 
 
 def test_ci_brackets_the_resampling_distribution():

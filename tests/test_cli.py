@@ -346,6 +346,15 @@ def test_simulate_repro_and_shape(tmp_path, capsys):
     assert (out1 / "study_summary.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "-8"])
+def test_threads_below_one_are_rejected(tmp_path, capsys, value):
+    rc = main(["simulate", "--a", "1", "--b", "0", "--n", "10", "--R", "2",
+               "--threads", value, "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_indices_command(cohort_files, tmp_path):
     series, _ = cohort_files
     out = tmp_path / "idx"

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_cutpoint, mann_whitney
+from conftest import brute_force_cutpoint, mann_whitney, optimize_oracle
 from funcutpoint.cutpoint import (
     CRITERIA,
+    CutpointResult,
     auc,
     candidate_set,
     confusion_at,
@@ -136,6 +138,47 @@ def test_optimize_agrees_with_exhaustive_search_on_tied_scores(pairs):
         res = optimize(scores, labels, criterion)
         assert (res.c_hat, res.sensitivity, res.specificity) == \
             brute_force_cutpoint(scores, labels, criterion)
+
+
+def float_bits(value):
+    """Exact float identity: float.hex tells -0.0 from 0.0, which == and
+    np.array_equal do not."""
+    return [float(v).hex() for v in np.atleast_1d(value)]
+
+
+# A sample on which np.unique's sort and np.argsort put different zeros
+# first (numpy 2.4, x86-64).
+MIXED_ZEROS = [(0.9, 0), (-0.8, 0), (-0.6, 1), (0.0, 0), (0.6, 1), (0.2, 0),
+               (-0.7, 0), (-0.0, 1), (-0.2, 0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(
+        st.one_of(
+            # Rounded scores tie heavily; round() also yields -0.0.
+            st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-1e3, 1e3),
+        ),
+        st.integers(0, 1)), min_size=2, max_size=60),
+)
+@example(MIXED_ZEROS)
+@example([(-0.0, 0), (0.0, 1)])
+def test_optimize_matches_oracle_bit_for_bit(pairs):
+    """The single-argsort sweep reproduces candidate_set + sweep_metrics in
+    every field, including which zero a mixed-sign zero run reports."""
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([z for _, z in pairs])
+    assume(labels.min() != labels.max())
+    for criterion in CRITERIA:
+        got = optimize(scores, labels, criterion)
+        want = optimize_oracle(scores, labels, criterion)
+        assert got.criterion == want.criterion == criterion
+        for field in dataclasses.fields(CutpointResult):
+            if field.name != "criterion":
+                assert float_bits(getattr(got, field.name)) == \
+                    float_bits(getattr(want, field.name)), field.name
 
 
 def test_optimize_roc_is_the_full_candidate_roc():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import run_study_oracle
 from funcutpoint.cutpoint import optimize
+from funcutpoint.normal import TruncNormalSpec
 from funcutpoint.simulate import (
     BASE_SPREAD,
     DgpParams,
@@ -215,6 +217,29 @@ def test_run_study_matches_manual_replicate():
     rows, _ = run_study([(2.0, 0.0, 50)], criteria=("youden",), R=1, seed=9)
     assert rows[0]["sensitivity"] == expect.sensitivity
     assert rows[0]["specificity"] == expect.specificity
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("u2_mode", ["literal", "rho-scaled"])
+@pytest.mark.parametrize("spread_mode", ["shared-base", "literal"])
+def test_run_study_matches_per_replicate_oracle(spread_mode, u2_mode, threads):
+    """One sweep per replicate and the hoisted q0 and DgpParams give the
+    rows and meta of one optimize per criterion on a freshly built cohort."""
+    cells = [(0.0, 0.0, 2), (2.0, 0.0, 30), (0.5, 2.0, 57), (0.0, 1.0, 4)]
+    kwargs = dict(R=12, seed=31, v=1.5, grid=np.linspace(0.05, 1.0, 20),
+                  tn=TruncNormalSpec(mean=0.0, sd=3.0, lower=-2.0, upper=4.0),
+                  spread_mode=spread_mode, u2_mode=u2_mode)
+    if spread_mode == "literal" and u2_mode == "rho-scaled":
+        with pytest.raises(ValueError, match="not monotone"):
+            run_study_oracle(cells, **kwargs)
+        with pytest.raises(ValueError, match="not monotone"):
+            run_study(cells, threads=threads, **kwargs)
+        return
+    rows, meta = run_study(cells, threads=threads, **kwargs)
+    want_rows, want_meta = run_study_oracle(cells, **kwargs)
+    assert meta == want_meta
+    assert meta["regenerated"] > 0
+    assert rows == want_rows
 
 
 def test_run_study_regenerates_single_class_cohorts():
