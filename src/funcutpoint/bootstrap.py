@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cutpoint import _sorted_sweep, _sweep_result, optimize, validate_sample
+from .cutpoint import optimize, sweep, validate_sample
 from .threshold import SIGMA_FLOOR, estimate_mu, margin_vector
 
 __all__ = [
@@ -221,9 +221,9 @@ def bootstrap_cutpoint(
         ev -= mu_b
         ev /= sigma_b
         lab_eval = labels_arr[idx[k_split:]]
-        sweep = _sorted_sweep(*validate_sample(ev.min(axis=1), lab_eval))
-        res = _sweep_result(sweep, criterion)
-        sens_row, spec_row = sweep.rates_at(ref_grid)
+        sample_sweep = sweep(ev.min(axis=1), lab_eval)
+        res = sample_sweep.result(criterion)
+        sens_row, spec_row = sample_sweep.rates_at(ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,
@@ -260,10 +260,9 @@ def bootstrap_scalar(
 
     def one_replicate(rng):
         idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        # The resample of a validated sample with both classes present.
-        sweep = _sorted_sweep(scores[idx], labels_arr[idx])
-        res = _sweep_result(sweep, criterion)
-        sens_row, spec_row = sweep.rates_at(ref_grid)
+        sample_sweep = sweep(scores[idx], labels_arr[idx])
+        res = sample_sweep.result(criterion)
+        sens_row, spec_row = sample_sweep.rates_at(ref_grid)
         return {
             "c_hat": res.c_hat,
             "sensitivity": res.sensitivity,

@@ -23,6 +23,8 @@ __all__ = [
     "confusion_at",
     "candidate_set",
     "sweep_metrics",
+    "Sweep",
+    "sweep",
     "optimize",
     "roc_points",
     "auc",
@@ -131,67 +133,17 @@ def auc(scores, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-class _Sweep(NamedTuple):
-    """One sorted sample and its exact sweep over the candidate set.
-
-    cases_below[k] is the number of cases among values[:k]; cs, sens and
-    spec are the sweep over the distinct scores plus the sentinel.
-    """
-
-    values: np.ndarray
-    cases_below: np.ndarray
-    cs: np.ndarray
-    sens: np.ndarray
-    spec: np.ndarray
-
-    def rates_at(self, cs):
-        """(sensitivity, specificity) at arbitrary thresholds cs, as
-        sweep_metrics gives them, without sorting again."""
-        below = np.searchsorted(self.values, cs, side="left")
-        return _rates(self.cases_below, below)
-
-
-def _rates(cases_below, below):
-    # The integer counts sweep_metrics divides, over the same class sizes,
-    # so the quotients are bit-identical to its own.
-    n_case = int(cases_below[-1])
-    n_ctrl = cases_below.size - 1 - n_case
-    case_lt = cases_below[below]
-    return (n_case - case_lt) / n_case, (below - case_lt) / n_ctrl
-
-
-def _sorted_sweep(scores, labels) -> _Sweep:
-    """The candidate_set/sweep_metrics sweep of a validated sample from a
-    single argsort.
-
-    The candidates are the first value of each run of equal sorted scores
-    plus max + 1. +0.0 and -0.0 compare equal, and candidate_set keeps
-    whichever zero np.unique's own sort puts first; when the zero run
-    holds both signs, the zero candidate is taken from np.unique so that
-    c_hat and the sweep print the same sign.
-    """
-    order = np.argsort(scores)
-    values = scores[order]
-    cases_below = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(labels[order], out=cases_below[1:])
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    cs = np.append(values[starts], values[-1] + 1.0)
-    below = np.append(starts, values.size)
-    k = int(np.searchsorted(cs, 0.0))
-    if k < starts.size and cs[k] == 0.0:
-        signs = np.signbit(values[below[k]:below[k + 1]])
-        if signs.any() and not signs.all():
-            cs[k] = np.unique(scores)[k]
-    sens, spec = _rates(cases_below, below)
-    return _Sweep(values, cases_below, cs, sens, spec)
-
-
 def _pick(sens, spec, criterion: str) -> int:
     """Index of the optimum under optimize's tie-break order."""
     if criterion == "youden":
         # argmax returns the first, i.e. smallest-c, maximiser.
         return int(np.argmax(sens + spec - 1.0))
-    primary, secondary = (sens, spec) if criterion == "max_sensitivity" else (spec, sens)
+    if criterion == "max_sensitivity":
+        primary, secondary = sens, spec
+    elif criterion == "max_specificity":
+        primary, secondary = spec, sens
+    else:
+        raise ValueError(f"unknown criterion: {criterion!r}")
     best = np.flatnonzero(primary == primary.max())
     sec = secondary[best]
     return int(best[sec == sec.max()][0])
@@ -216,10 +168,74 @@ def _result(criterion, cs, sens, spec, fpr, tpr) -> CutpointResult:
     )
 
 
-def _sweep_result(sweep: _Sweep, criterion: str) -> CutpointResult:
-    """optimize's result over the full candidate sweep, which is the ROC."""
-    return _result(criterion, sweep.cs, sweep.sens, sweep.spec,
-                   (1.0 - sweep.spec)[::-1], sweep.sens[::-1])
+class Sweep(NamedTuple):
+    """One sorted sample and its exact sweep over the candidate set.
+
+    cases_below[k] is the number of cases among values[:k]; cs, sens and
+    spec are the sweep over the distinct scores plus the sentinel, equal
+    to candidate_set and sweep_metrics bit for bit.
+    """
+
+    values: np.ndarray
+    cases_below: np.ndarray
+    cs: np.ndarray
+    sens: np.ndarray
+    spec: np.ndarray
+
+    def rates_at(self, cs):
+        """(sensitivity, specificity) at arbitrary thresholds cs, as
+        sweep_metrics gives them, without sorting again."""
+        below = np.searchsorted(self.values, cs, side="left")
+        return _rates(self.cases_below, below)
+
+    def roc(self):
+        """(fpr, tpr): the full candidate sweep, sorted by false-positive
+        rate, as roc_points gives it."""
+        return (1.0 - self.spec)[::-1], self.sens[::-1]
+
+    def pick(self, criterion: str) -> int:
+        """Index into the sweep of optimize's c_hat for the criterion."""
+        return _pick(self.sens, self.spec, criterion)
+
+    def result(self, criterion: str) -> CutpointResult:
+        """optimize's unrestricted result."""
+        return _result(criterion, self.cs, self.sens, self.spec, *self.roc())
+
+
+def _rates(cases_below, below):
+    # The integer counts sweep_metrics divides, over the same class sizes,
+    # so the quotients are bit-identical to its own.
+    n_case = int(cases_below[-1])
+    n_ctrl = cases_below.size - 1 - n_case
+    case_lt = cases_below[below]
+    return (n_case - case_lt) / n_case, (below - case_lt) / n_ctrl
+
+
+def sweep(scores, labels) -> Sweep:
+    """Validate a sample and sort it once into its candidate sweep.
+
+    The candidates are the first value of each run of equal sorted scores
+    plus max + 1, and the class counts come from one cumsum of the sorted
+    labels. +0.0 and -0.0 compare equal, and candidate_set keeps whichever
+    zero np.unique's own sort puts first; when the zero run holds both
+    signs, the zero candidate is taken from np.unique so that c_hat and
+    the sweep print the same sign.
+    """
+    scores, labels = validate_sample(scores, labels)
+    order = np.argsort(scores)
+    values = scores[order]
+    cases_below = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(labels[order], out=cases_below[1:])
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    cs = np.append(values[starts], values[-1] + 1.0)
+    below = np.append(starts, values.size)
+    k = int(np.searchsorted(cs, 0.0))
+    if k < starts.size and cs[k] == 0.0:
+        signs = np.signbit(values[below[k]:below[k + 1]])
+        if signs.any() and not signs.all():
+            cs[k] = np.unique(scores)[k]
+    sens, spec = _rates(cases_below, below)
+    return Sweep(values, cases_below, cs, sens, spec)
 
 
 def optimize(
@@ -237,29 +253,25 @@ def optimize(
     the unrestricted candidate sweep; `bounds` and `c_grid` only restrict
     where c_hat may lie.
     """
-    scores, labels = validate_sample(scores, labels)
+    full = sweep(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    if c_grid is None and bounds is None:
-        return _sweep_result(_sorted_sweep(scores, labels), criterion)
-
+    cs, sens, spec = full.cs, full.sens, full.spec
     if c_grid is not None:
         cs = np.asarray(c_grid, dtype=float)
         if cs.ndim != 1 or cs.size == 0:
             raise ValueError("c grid must be a nonempty 1-d array")
         cs = np.sort(cs)
-    else:
-        cs = candidate_set(scores)
+        sens, spec = full.rates_at(cs)
     if bounds is not None:
         lo, hi = bounds
         if not lo <= hi:
             raise ValueError("bounds must satisfy l <= u")
-        cs = cs[(cs >= lo) & (cs <= hi)]
+        inside = (cs >= lo) & (cs <= hi)
+        cs, sens, spec = cs[inside], sens[inside], spec[inside]
         if cs.size == 0:
             raise ValueError("no candidate cut-points inside bounds")
-
-    sens, spec = sweep_metrics(scores, labels, cs)
-    return _result(criterion, cs, sens, spec, *roc_points(scores, labels))
+    return _result(criterion, cs, sens, spec, *full.roc())
 
 
 def write_sweep_csv(path, result: CutpointResult) -> None:

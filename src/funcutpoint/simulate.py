@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutpoint import CRITERIA, _pick, _sorted_sweep, validate_sample
+from .cutpoint import CRITERIA, sweep
 from .normal import TruncNormalSpec, norm_quantile, tn_quantile
 from .quantiles import QuantileCurve, check_grid, default_grid
 
@@ -64,6 +64,9 @@ class DgpParams:
     spread_mode: str = "shared-base"
     u2_mode: str = "literal"
     tn: TruncNormalSpec = field(default_factory=TruncNormalSpec)
+    # tn_quantile(tn, grid), the spread shape every cohort of these
+    # parameters shares.
+    q0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0:
@@ -78,15 +81,15 @@ class DgpParams:
             raise ValueError(f"unknown u2 mode: {self.u2_mode!r}")
         grid = default_grid() if self.grid is None else check_grid(self.grid)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "q0", tn_quantile(self.tn, grid))
 
 
-def generate_arrays(params: DgpParams, rng: np.random.Generator, q0=None):
+def generate_arrays(params: DgpParams, rng: np.random.Generator):
     """One cohort as (curve matrix of shape (n, m), labels z).
 
     Per subject the draws are consumed in the fixed order Z, U1, U2, U3
     (one row of uniforms each), so the stream is stable across modes and
-    parameter values. q0 is tn_quantile(params.tn, params.grid), passed by
-    callers that draw many cohorts on one grid.
+    parameter values.
     """
     draws = rng.random((params.n, 4))
     z = (draws[:, 0] < 0.5).astype(int)
@@ -94,8 +97,7 @@ def generate_arrays(params: DgpParams, rng: np.random.Generator, q0=None):
     u2 = 2.0 * draws[:, 2] - 1.0
     u3 = 0.8 + 0.4 * draws[:, 3]
 
-    if q0 is None:
-        q0 = tn_quantile(params.tn, params.grid)
+    q0 = params.q0
     zf = z.astype(float)
     if params.spread_mode == "literal":
         coef = (BASE_SPREAD + params.b) * zf * u3
@@ -137,23 +139,23 @@ def generate(params: DgpParams, rng: np.random.Generator | None = None):
     return curves, labels
 
 
-def _replicate(cell_index, r, params, q0, seed, criteria):
+def _replicate(cell_index, r, params, seed, criteria):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell_index, r)))
-    matrix, z = generate_arrays(params, rng, q0)
+    matrix, z = generate_arrays(params, rng)
     regenerated = 0
     while z.min() == z.max():
         regenerated += 1
         if regenerated > _MAX_REGENERATIONS:
             raise RuntimeError("could not draw a cohort with both classes")
-        matrix, z = generate_arrays(params, rng, q0)
+        matrix, z = generate_arrays(params, rng)
     matrix -= matrix.mean(axis=0)
     # One sweep serves every criterion: it is what optimize(margins, z, c)
     # scans, so each pick equals that call's sensitivity and specificity.
-    sweep = _sorted_sweep(*validate_sample(matrix.min(axis=1), z))
+    cohort = sweep(matrix.min(axis=1), z)
     results = []
     for criterion in criteria:
-        i = _pick(sweep.sens, sweep.spec, criterion)
-        results.append((criterion, float(sweep.sens[i]), float(sweep.spec[i])))
+        i = cohort.pick(criterion)
+        results.append((criterion, float(cohort.sens[i]), float(cohort.spec[i])))
     return results, regenerated
 
 
@@ -189,7 +191,6 @@ def run_study(
     if R < 1:
         raise ValueError("R must be at least 1")
     grid = default_grid() if grid is None else check_grid(grid)
-    q0 = tn_quantile(tn, grid)
 
     rows = []
     regenerated = 0
@@ -197,7 +198,7 @@ def run_study(
         params = DgpParams(a=a, b=b, n=n, v=v, grid=grid,
                            spread_mode=spread_mode, u2_mode=u2_mode, tn=tn)
         for r in range(R):
-            results, regen = _replicate(ci, r, params, q0, seed, criteria)
+            results, regen = _replicate(ci, r, params, seed, criteria)
             regenerated += regen
             for criterion, sens, spec in results:
                 rows.append({

@@ -62,9 +62,10 @@ def brute_force_cutpoint(scores, labels, criterion):
     return best[1], best[2], best[3]
 
 
-def optimize_oracle(scores, labels, criterion="youden"):
-    """optimize over the unrestricted candidate set by candidate_set and
-    sweep_metrics: two sorts per class and an np.unique per sweep.
+def optimize_oracle(scores, labels, criterion="youden", bounds=None, c_grid=None):
+    """optimize over the candidate set, or the sorted grid, restricted to
+    the bounds, by candidate_set and sweep_metrics: two sorts per class and
+    an np.unique per sweep, with the ROC from roc_points.
 
     The reference for optimize's single-argsort sweep, which must match
     every field bit for bit, signed zeros included.
@@ -72,7 +73,11 @@ def optimize_oracle(scores, labels, criterion="youden"):
     scores, labels = validate_sample(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    cs = candidate_set(scores)
+    cs = candidate_set(scores) if c_grid is None else np.sort(np.asarray(c_grid, dtype=float))
+    if bounds is not None:
+        cs = cs[(cs >= bounds[0]) & (cs <= bounds[1])]
+        if cs.size == 0:
+            raise ValueError("no candidate cut-points inside bounds")
     sens, spec = sweep_metrics(scores, labels, cs)
     youden = sens + spec - 1.0
     if criterion == "youden":
@@ -390,8 +395,8 @@ def bootstrap_scalar_oracle(scores, labels, criterion="youden", B=20, alpha=0.05
 def run_study_oracle(cells, criteria=CRITERIA, R=100, seed=0, v=2.0, grid=None,
                      spread_mode="shared-base", u2_mode="literal",
                      tn=TruncNormalSpec()):
-    """Per-replicate study loop: DgpParams and q0 (inside generate_arrays)
-    rebuilt for every replicate, margins out of place, one optimize_oracle
+    """Per-replicate study loop: DgpParams (and with it q0) rebuilt for
+    every replicate, margins out of place, one optimize_oracle
     per criterion. Same seed substreams (seed, cell, r) and regeneration
     rule as simulate.run_study; the reference its rows and meta must equal.
     """

@@ -181,6 +181,43 @@ def test_optimize_matches_oracle_bit_for_bit(pairs):
                     float_bits(getattr(want, field.name)), field.name
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(
+        st.one_of(
+            st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+            st.sampled_from([0.0, -0.0]),
+        ),
+        st.integers(0, 1)), min_size=2, max_size=40),
+    st.lists(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=6),
+    st.tuples(st.sampled_from([-2.0, -0.3, -0.0, 0.0]),
+              st.sampled_from([-0.0, 0.0, 0.4, 3.0])),
+)
+@example(MIXED_ZEROS, [0.0, -0.0], (-0.0, 0.0))
+def test_restricted_optimize_matches_oracle_bit_for_bit(pairs, grid, bounds):
+    """Bounds and grids restrict the same sorted sweep: every field equals
+    the candidate_set/sweep_metrics search over the restricted thresholds,
+    or both raise the same error."""
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([z for _, z in pairs])
+    assume(labels.min() != labels.max())
+    for kwargs in ({"bounds": bounds}, {"c_grid": np.array(grid)},
+                   {"bounds": bounds, "c_grid": np.array(grid)}):
+        for criterion in CRITERIA:
+            try:
+                want = optimize_oracle(scores, labels, criterion, **kwargs)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    optimize(scores, labels, criterion, **kwargs)
+                continue
+            got = optimize(scores, labels, criterion, **kwargs)
+            assert got.criterion == want.criterion == criterion
+            for field in dataclasses.fields(CutpointResult):
+                if field.name != "criterion":
+                    assert float_bits(getattr(got, field.name)) == \
+                        float_bits(getattr(want, field.name)), field.name
+
+
 def test_optimize_roc_is_the_full_candidate_roc():
     """ROC and AUC come from the unrestricted sweep, with or without bounds
     and grids, and equal roc_points and auc() exactly."""

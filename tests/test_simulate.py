@@ -219,10 +219,9 @@ def test_run_study_matches_manual_replicate():
     assert rows[0]["specificity"] == expect.specificity
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("u2_mode", ["literal", "rho-scaled"])
 @pytest.mark.parametrize("spread_mode", ["shared-base", "literal"])
-def test_run_study_matches_per_replicate_oracle(spread_mode, u2_mode, threads):
+def test_run_study_matches_per_replicate_oracle(spread_mode, u2_mode):
     """One sweep per replicate and the hoisted q0 and DgpParams give the
     rows and meta of one optimize per criterion on a freshly built cohort."""
     cells = [(0.0, 0.0, 2), (2.0, 0.0, 30), (0.5, 2.0, 57), (0.0, 1.0, 4)]
@@ -233,9 +232,9 @@ def test_run_study_matches_per_replicate_oracle(spread_mode, u2_mode, threads):
         with pytest.raises(ValueError, match="not monotone"):
             run_study_oracle(cells, **kwargs)
         with pytest.raises(ValueError, match="not monotone"):
-            run_study(cells, threads=threads, **kwargs)
+            run_study(cells, **kwargs)
         return
-    rows, meta = run_study(cells, threads=threads, **kwargs)
+    rows, meta = run_study(cells, **kwargs)
     want_rows, want_meta = run_study_oracle(cells, **kwargs)
     assert meta == want_meta
     assert meta["regenerated"] > 0
