@@ -7,7 +7,8 @@ cut-points; pointwise bands cover the cutoff curve (in rho) and the
 sensitivity/specificity sweep (on a fixed reference c-grid).
 
 Replicate b draws only from its own seed substream (seed, b), so results
-are byte-identical across runs and across thread counts.
+are byte-identical across runs. Replicates run serially; the `threads`
+arguments are kept for compatibility and do not change the work.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cutpoint import optimize, sweep, validate_sample
+from .cutpoint import optimize, pick, validate_sample
 from .threshold import SIGMA_FLOOR, estimate_mu, margin_vector
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
 
 SWEEP_BAND_POINTS = 512
 METRIC_NAMES = ("sensitivity", "specificity", "youden", "auc")
+# Replicates are evaluated in chunks of at most _CHUNK, and fewer when a
+# chunk's per-candidate arrays would exceed _CHUNK_ELEMENTS elements.
+_CHUNK = 256
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,27 @@ def _estimate_mu_matrix(matrix, labels, mode, group, with_sigma):
     return mu, sigma
 
 
-def _aggregate(criterion, point_c, replicates, ref_grid, cfg, curve_grid=None):
-    c_hats = np.array([r["c_hat"] for r in replicates])
-    metric_cis = {
-        name: _percentile_ci(np.array([r[name] for r in replicates]), cfg.alpha)
-        for name in METRIC_NAMES
-    }
+def _columns(B: int, curve_m: int | None = None) -> dict[str, np.ndarray]:
+    """Preallocated replicate results: entry or column b is replicate b.
+
+    The band arrays hold one row per threshold or grid point, so the band
+    quantiles select along contiguous rows.
+    """
+    cols = {name: np.empty(B) for name in ("c_hat", *METRIC_NAMES)}
+    cols["sens"] = np.empty((SWEEP_BAND_POINTS, B))
+    cols["spec"] = np.empty((SWEEP_BAND_POINTS, B))
+    cols["fails"] = np.zeros(B, dtype=np.int64)
+    if curve_m is not None:
+        cols["curve"] = np.empty((curve_m, B))
+    return cols
+
+
+def _aggregate(criterion, point_c, cols, ref_grid, cfg, curve_grid=None):
+    c_hats = cols["c_hat"]
+    metric_cis = {name: _percentile_ci(cols[name], cfg.alpha) for name in METRIC_NAMES}
     qs = [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0]
-    sens_rows = np.vstack([r["sens_row"] for r in replicates])
-    spec_rows = np.vstack([r["spec_row"] for r in replicates])
-    sens_lo, sens_hi = np.quantile(sens_rows, qs, axis=0, method="linear")
-    spec_lo, spec_hi = np.quantile(spec_rows, qs, axis=0, method="linear")
+    sens_lo, sens_hi = np.quantile(cols["sens"], qs, axis=1, method="linear")
+    spec_lo, spec_hi = np.quantile(cols["spec"], qs, axis=1, method="linear")
     summary = BootstrapSummary(
         criterion=criterion,
         c_hat=point_c,
@@ -129,29 +143,68 @@ def _aggregate(criterion, point_c, replicates, ref_grid, cfg, curve_grid=None):
         sens_upper=sens_hi,
         spec_lower=spec_lo,
         spec_upper=spec_hi,
-        redraws=int(sum(r["fails"] for r in replicates)),
+        redraws=int(cols["fails"].sum()),
         B=cfg.B,
         alpha=cfg.alpha,
         seed=cfg.seed,
     )
     if curve_grid is not None:
-        curve_rows = np.vstack([r["curve_row"] for r in replicates])
-        lo, hi = np.quantile(curve_rows, qs, axis=0, method="linear")
+        lo, hi = np.quantile(cols["curve"], qs, axis=1, method="linear")
         summary.curve_grid = curve_grid
         summary.curve_lower = lo
         summary.curve_upper = hi
     return summary
 
 
-def _run_replicates(cfg: BootstrapConfig, one_replicate, threads: int):
-    def work(b: int):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
-        return one_replicate(rng)
+def _substream(seed: int, b: int):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(cfg.B)))
-    return [work(b) for b in range(cfg.B)]
+
+def _chunk_size(width: int) -> int:
+    return max(1, min(_CHUNK, _CHUNK_ELEMENTS // width))
+
+
+def _row_aucs(sens, spec, present):
+    """np.trapezoid(sens[r, kept][::-1], (1 - spec[r, kept])[::-1]) for
+    every row r, where kept = present[r], with the same arithmetic.
+
+    np.trapezoid sums, in reverse candidate order, the terms
+    (fpr[i] - fpr[i + 1]) * (sens[i] + sens[i + 1]) / 2.0 with np.add.reduce;
+    reversing the terms of all rows at once leaves each row's terms
+    contiguous and in that order, so each row's sum is the same reduce.
+    """
+    s = sens[present]
+    fpr = 1.0 - spec[present]
+    terms = ((fpr[:-1] - fpr[1:]) * (s[:-1] + s[1:]) / 2.0)[::-1].copy()
+    sizes = present.sum(axis=1)
+    firsts = s.size - np.cumsum(sizes)
+    return np.array([np.add.reduce(terms[first:first + k - 1])
+                     for first, k in zip(firsts, sizes)])
+
+
+def _evaluate(cols, span, n, below, case_lt, present, criterion, grid_below, grid_case):
+    """Record a chunk of exact sweeps; returns each row's optimal column.
+
+    Row r is one resample of n draws; column k holds the integer counts
+    cutpoint.sweep divides at one threshold: below[r, k] draws and
+    case_lt[r, k] case draws lie under it, and the last column, above every
+    draw, is the sentinel. present marks the candidates, grid_below and
+    grid_case the counts at the reference grid. Every rate is the same
+    quotient as sweep's.
+    """
+    n_case = case_lt[:, -1:]
+    n_ctrl = n - n_case
+    sens = (n_case - case_lt) / n_case
+    spec = (below - case_lt) / n_ctrl
+    i = pick(sens, spec, criterion, present)
+    rows = np.arange(i.size)
+    cols["sensitivity"][span] = sens[rows, i]
+    cols["specificity"][span] = spec[rows, i]
+    cols["youden"][span] = sens[rows, i] + spec[rows, i] - 1.0
+    cols["auc"][span] = _row_aucs(sens, spec, present)
+    cols["sens"][:, span] = ((n_case - grid_case) / n_case).T
+    cols["spec"][:, span] = ((grid_below - grid_case) / n_ctrl).T
+    return i
 
 
 def bootstrap_cutpoint(
@@ -170,7 +223,10 @@ def bootstrap_cutpoint(
 
     With split_fraction f, the first ceil(f*n) subjects of each resample
     estimate the centrality curve and the rest are scored against it;
-    the point estimate itself is never split.
+    the point estimate itself is never split. Each replicate's margins are
+    computed on its own; a chunk of them is then sorted and swept at once.
+    Replicates run serially; `threads` is accepted for compatibility and
+    affects nothing.
     """
     try:
         labels_arr = np.array([labels[c.subject_id] for c in curves], dtype=int)
@@ -184,7 +240,7 @@ def bootstrap_cutpoint(
     point = optimize(margins, labels_arr, criterion)
 
     matrix = np.vstack([c.values for c in curves])
-    n = matrix.shape[0]
+    n, m = matrix.shape
     ref_grid = np.linspace(margins.min(), margins.max(), SWEEP_BAND_POINTS)
 
     k_split = 0
@@ -196,6 +252,10 @@ def bootstrap_cutpoint(
             raise ValueError("split_fraction leaves no subjects to score")
         if with_sigma and k_split < 2:
             raise ValueError("sigma estimation needs at least 2 estimation subjects")
+    # Without a split, the pooled mean is the mean of the scored rows.
+    centre_in_place = mu_mode == "pooled-mean" and k_split == 0
+    ones = np.ones(m)
+    n_eval = n - k_split
 
     def acceptable(idx) -> bool:
         lab_eval = labels_arr[idx[k_split:]]
@@ -206,39 +266,114 @@ def bootstrap_cutpoint(
                 return False
         return True
 
-    def one_replicate(rng):
-        idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        # One gather per replicate. Leading rows of a C-contiguous array
-        # reduce in the same order as a copy of them, so mu and sigma are
-        # exact; the evaluation rows are then standardised in place (mu_b
-        # and sigma_b never alias them).
-        sample = matrix[idx]
-        k_est = k_split or n
-        mu_b, sigma_b = _estimate_mu_matrix(
-            sample[:k_est], labels_arr[idx[:k_est]], mu_mode, group, with_sigma
-        )
-        ev = sample[k_split:]
-        ev -= mu_b
-        ev /= sigma_b
-        lab_eval = labels_arr[idx[k_split:]]
-        sample_sweep = sweep(ev.min(axis=1), lab_eval)
-        res = sample_sweep.result(criterion)
-        sens_row, spec_row = sample_sweep.rates_at(ref_grid)
-        return {
-            "c_hat": res.c_hat,
-            "sensitivity": res.sensitivity,
-            "specificity": res.specificity,
-            "youden": res.youden,
-            "auc": res.auc,
-            "sens_row": sens_row,
-            "spec_row": spec_row,
-            "curve_row": mu_b + res.c_hat * sigma_b,
-            "fails": fails,
-        }
+    cols = _columns(cfg.B, m)
+    chunk = _chunk_size(n_eval + 1)
+    for start in range(0, cfg.B, chunk):
+        span = slice(start, min(start + chunk, cfg.B))
+        size = span.stop - start
+        scores = np.empty((size, n_eval))
+        lab = np.empty((size, n_eval), dtype=labels_arr.dtype)
+        mus = np.empty((size, m))
+        sigmas = np.empty((size, m))
+        for r in range(size):
+            idx, cols["fails"][start + r] = _draw_indices(
+                _substream(cfg.seed, start + r), n, cfg.max_redraws, acceptable)
+            sample = matrix[idx]
+            if centre_in_place:
+                # mu_b is the mean of the scored rows, so they are centred
+                # once, in place, and sigma_b takes np.std's own steps from
+                # them: the sum of squares along axis 0 over n - 1, then
+                # sqrt. Without sigma the division is skipped (x / 1.0 == x).
+                mu_b = sample.mean(axis=0)
+                ev = sample
+                ev -= mu_b
+                sigma_b = ones
+                if with_sigma:
+                    sigma_b = np.add.reduce(np.square(ev), axis=0)
+                    sigma_b /= n - 1
+                    sigma_b = np.maximum(np.sqrt(sigma_b, out=sigma_b), SIGMA_FLOOR)
+                    ev /= sigma_b
+            else:
+                # Leading rows of a C-contiguous array reduce in the same
+                # order as a copy of them, so mu and sigma are exact; the
+                # evaluation rows are then standardised in place (mu_b and
+                # sigma_b never alias them).
+                k_est = k_split or n
+                mu_b, sigma_b = _estimate_mu_matrix(
+                    sample[:k_est], labels_arr[idx[:k_est]], mu_mode, group, with_sigma
+                )
+                ev = sample[k_split:]
+                ev -= mu_b
+                ev /= sigma_b
+            np.minimum.reduce(ev, axis=1, out=scores[r])
+            if not np.isfinite(scores[r]).all():
+                raise ValueError("scores must be finite")
+            lab[r] = labels_arr[idx[k_split:]]
+            mus[r] = mu_b
+            sigmas[r] = sigma_b
 
-    replicates = _run_replicates(cfg, one_replicate, threads)
-    return _aggregate(criterion, point.c_hat, replicates, ref_grid, cfg,
+        values, case_lt, present = _sort_sweeps(scores, lab)
+        grid_below = np.array([np.searchsorted(v, ref_grid, side="left") for v in values])
+        i = _evaluate(cols, span, n_eval, np.arange(n_eval + 1), case_lt, present,
+                      criterion, grid_below, np.take_along_axis(case_lt, grid_below, axis=1))
+        cols["c_hat"][span] = c_hat = _sorted_c_hats(scores, values, present, i)
+        cols["curve"][:, span] = (mus + c_hat[:, None] * sigmas).T
+
+    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg,
                       curve_grid=family.grid)
+
+
+def _sort_sweeps(scores, labels):
+    """Counts of a chunk of samples, one per row, for _evaluate.
+
+    Each row is sorted once: column k < n is the threshold at the k-th
+    sorted score and column n the sentinel, so below[:, k] = k. Returns the
+    sorted scores, case_lt and present, which marks the first score of each
+    run of equal scores, plus the sentinel.
+    """
+    rows, n = scores.shape
+    order = np.argsort(scores, axis=1)
+    values = np.take_along_axis(scores, order, axis=1)
+    case_lt = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(np.take_along_axis(labels, order, axis=1), axis=1, out=case_lt[:, 1:])
+    present = np.ones((rows, n + 1), dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=present[:, 1:-1])
+    return values, case_lt, present
+
+
+def _sorted_c_hats(scores, values, present, i):
+    """c_hat of each row of _sort_sweeps at the picked column i, as
+    cutpoint.sweep prints it: the first score of the run or max + 1; a
+    zero run holding both signs takes np.unique's zero."""
+    n = values.shape[1]
+    c_hat = values[np.arange(i.size), np.minimum(i, n - 1)]
+    c_hat[i == n] += 1.0
+    for r in np.flatnonzero((c_hat == 0.0) & (i < n)):
+        signs = np.signbit(values[r, i[r]:i[r] + 1 + np.argmax(present[r, i[r] + 1:])])
+        if signs.any() and not signs.all():
+            distinct = np.unique(scores[r])
+            c_hat[r] = distinct[np.searchsorted(distinct, 0.0)]
+    return c_hat
+
+
+def _count_sweeps(idx, code, K):
+    """Counts of a chunk of resamples of a sorted sample, for _evaluate.
+
+    idx holds one resample per row; code[i] is 2k + label of subject i,
+    whose score is the k-th of the K distinct values. Column k < K is the
+    threshold at the k-th distinct value and column K the sentinel; present
+    marks the values drawn, plus the sentinel.
+    """
+    rows, n = idx.shape
+    counts = np.bincount((code[idx] + 2 * K * np.arange(rows)[:, None]).ravel(),
+                         minlength=rows * 2 * K).reshape(rows, K, 2)
+    below = np.zeros((rows, K + 1), dtype=np.int64)
+    np.cumsum(counts.sum(axis=2), axis=1, out=below[:, 1:])
+    case_lt = np.zeros((rows, K + 1), dtype=np.int64)
+    np.cumsum(counts[:, :, 1], axis=1, out=case_lt[:, 1:])
+    present = np.ones((rows, K + 1), dtype=bool)
+    np.not_equal(below[:, 1:], below[:, :-1], out=present[:, :-1])
+    return below, case_lt, present
 
 
 def bootstrap_scalar(
@@ -248,34 +383,72 @@ def bootstrap_scalar(
     cfg: BootstrapConfig = BootstrapConfig(),
     threads: int = 1,
 ) -> BootstrapSummary:
-    """Bootstrap a scalar-marker cut-point (scores fixed per subject)."""
+    """Bootstrap a scalar-marker cut-point (scores fixed per subject).
+
+    The sample is sorted once into its K distinct values. Replicate b is
+    its draw counts per distinct value, for all draws and for cases, so
+    cumulative counts give the integer counts below each candidate that
+    cutpoint.sweep divides: every rate, c_hat and band row is the same
+    quotient, bit for bit. Replicates are drawn from their own substreams
+    in order and processed in chunks. `threads` is accepted for
+    compatibility and affects nothing.
+    """
     scores, labels_arr = validate_sample(scores, labels)
     point = optimize(scores, labels_arr, criterion)
     n = scores.size
     ref_grid = np.linspace(scores.min(), scores.max(), SWEEP_BAND_POINTS)
 
+    order = np.argsort(scores)
+    values = scores[order]
+    starts = np.concatenate(([True], values[1:] != values[:-1]))
+    distinct = values[starts]
+    K = distinct.size
+    run = np.empty(n, dtype=np.intp)
+    run[order] = np.cumsum(starts) - 1
+    code = 2 * run + labels_arr
+    # All draws at the distinct values below a reference threshold lie
+    # below it.
+    grid_cols = np.searchsorted(distinct, ref_grid, side="left")
+    zeros = scores == 0.0
+    neg_zero = zeros & np.signbit(scores)
+    mixed_zeros = bool(neg_zero.any()) and not neg_zero[zeros].all()
+    zero = int(np.searchsorted(distinct, 0.0))
+
     def acceptable(idx) -> bool:
         lab = labels_arr[idx]
         return lab.min() != lab.max()
 
-    def one_replicate(rng):
-        idx, fails = _draw_indices(rng, n, cfg.max_redraws, acceptable)
-        sample_sweep = sweep(scores[idx], labels_arr[idx])
-        res = sample_sweep.result(criterion)
-        sens_row, spec_row = sample_sweep.rates_at(ref_grid)
-        return {
-            "c_hat": res.c_hat,
-            "sensitivity": res.sensitivity,
-            "specificity": res.specificity,
-            "youden": res.youden,
-            "auc": res.auc,
-            "sens_row": sens_row,
-            "spec_row": spec_row,
-            "fails": fails,
-        }
+    cols = _columns(cfg.B)
+    chunk = _chunk_size(max(n, K + 1))
+    for start in range(0, cfg.B, chunk):
+        span = slice(start, min(start + chunk, cfg.B))
+        idx = np.empty((span.stop - start, n), dtype=np.intp)
+        for b in range(start, span.stop):
+            idx[b - start], cols["fails"][b] = _draw_indices(
+                _substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
+        below, case_lt, present = _count_sweeps(idx, code, K)
+        i = _evaluate(cols, span, n, below, case_lt, present, criterion,
+                      below[:, grid_cols], case_lt[:, grid_cols])
+        c_hat = distinct[np.minimum(i, K - 1)]
+        # The sentinel is the largest value drawn plus one.
+        sentinel = i == K
+        top = K - 1 - np.argmax(present[sentinel, K - 1::-1], axis=1)
+        c_hat[sentinel] = distinct[top] + 1.0
+        if mixed_zeros:
+            # sweep prints the zero of the one sign drawn, or np.unique's
+            # zero when the resample holds both.
+            for r in np.flatnonzero(i == zero):
+                negs = np.count_nonzero(neg_zero[idx[r]])
+                if negs == 0:
+                    c_hat[r] = 0.0
+                elif negs == below[r, zero + 1] - below[r, zero]:
+                    c_hat[r] = -0.0
+                else:
+                    drawn = np.unique(scores[idx[r]])
+                    c_hat[r] = drawn[np.searchsorted(drawn, 0.0)]
+        cols["c_hat"][span] = c_hat
 
-    replicates = _run_replicates(cfg, one_replicate, threads)
-    return _aggregate(criterion, point.c_hat, replicates, ref_grid, cfg)
+    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg)
 
 
 def write_bootstrap_summary_json(path, summary: BootstrapSummary) -> None:

@@ -167,6 +167,8 @@ def _read_scores(scores_path, column: str, labels_path):
                 raise ValueError(
                     f"{scores_path} line {line_no}: non-numeric score {row[col]!r}"
                 ) from None
+            if not np.isfinite(values[-1]):
+                raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
     if not ids:
         raise ValueError(f"{scores_path}: no data rows")
     labels = parse_labels(labels_path)
@@ -418,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=_thread_count, default=1,
-                        help="worker threads for bootstrap replicates; results "
-                             "do not depend on it, and simulate runs serially")
+                        help="accepted for compatibility; bootstrap and simulate "
+                             "run their replicates serially")
 
     parser = argparse.ArgumentParser(
         prog="funcutpoint",

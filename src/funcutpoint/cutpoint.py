@@ -25,6 +25,7 @@ __all__ = [
     "sweep_metrics",
     "Sweep",
     "sweep",
+    "pick",
     "optimize",
     "roc_points",
     "auc",
@@ -77,12 +78,13 @@ def validate_sample(scores, labels):
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ValueError("scores and labels must be 1-d and equally long")
-    if np.any(~np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if not np.all((labels == 0) | (labels == 1)):
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    labels = labels.astype(int)
-    if not (np.any(labels == 1) and np.any(labels == 0)):
+    labels = labels.astype(int, copy=False)
+    # Labels are 0 or 1 here, so one class is missing iff min == max.
+    if labels.size == 0 or labels.min() == labels.max():
         raise ValueError("degenerate sample: need at least one case and one control")
     return scores, labels
 
@@ -133,24 +135,33 @@ def auc(scores, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def _pick(sens, spec, criterion: str) -> int:
-    """Index of the optimum under optimize's tie-break order."""
+def pick(sens, spec, criterion: str, present=None):
+    """Index of optimize's optimum along the last axis of a sweep.
+
+    Tie-break order: criterion value, then the secondary metric, then the
+    first (smallest-c) index. With `present`, a boolean array of the same
+    shape, only the candidates marked True compete: the others' criterion
+    value is -inf. A 2-d sweep gives one index per row.
+    """
     if criterion == "youden":
-        # argmax returns the first, i.e. smallest-c, maximiser.
-        return int(np.argmax(sens + spec - 1.0))
-    if criterion == "max_sensitivity":
+        primary, secondary = sens + spec - 1.0, None
+    elif criterion == "max_sensitivity":
         primary, secondary = sens, spec
     elif criterion == "max_specificity":
         primary, secondary = spec, sens
     else:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    best = np.flatnonzero(primary == primary.max())
-    sec = secondary[best]
-    return int(best[sec == sec.max()][0])
+    if present is not None:
+        primary = np.where(present, primary, -np.inf)
+    if secondary is not None:
+        best = primary == primary.max(axis=-1, keepdims=True)
+        primary = np.where(best, secondary, -np.inf)
+    # argmax returns the first maximiser.
+    return np.argmax(primary, axis=-1)
 
 
 def _result(criterion, cs, sens, spec, fpr, tpr) -> CutpointResult:
-    i = _pick(sens, spec, criterion)
+    i = int(pick(sens, spec, criterion))
     youden = sens + spec - 1.0
     return CutpointResult(
         criterion=criterion,
@@ -195,7 +206,7 @@ class Sweep(NamedTuple):
 
     def pick(self, criterion: str) -> int:
         """Index into the sweep of optimize's c_hat for the criterion."""
-        return _pick(self.sens, self.spec, criterion)
+        return int(pick(self.sens, self.spec, criterion))
 
     def result(self, criterion: str) -> CutpointResult:
         """optimize's unrestricted result."""

@@ -216,7 +216,10 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
                 raise ValueError(
                     f"curves file {path} line {line_no}: non-numeric value"
                 ) from exc
-            curves.append(QuantileCurve(row[0], grid, values))
+            try:
+                curves.append(QuantileCurve(row[0], grid, values))
+            except ValueError as exc:
+                raise ValueError(f"curves file {path} line {line_no}: {exc}") from None
     if not curves:
         raise ValueError(f"curves file {path}: no data rows")
     return curves

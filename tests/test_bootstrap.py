@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bootstrap_cutpoint_oracle, bootstrap_scalar_oracle
+from funcutpoint import bootstrap
 from funcutpoint.bootstrap import (
     BootstrapConfig,
     _percentile_ci,
@@ -13,7 +16,7 @@ from funcutpoint.bootstrap import (
     write_curve_band_csv,
     write_sweep_band_csv,
 )
-from funcutpoint.cutpoint import optimize
+from funcutpoint.cutpoint import CRITERIA, optimize
 from funcutpoint.quantiles import QuantileCurve, default_grid
 from funcutpoint.simulate import DgpParams, generate
 
@@ -110,6 +113,66 @@ def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, threads):
     np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
 
 
+def hex_list(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def tied_samples(draw):
+    """Scores with heavy ties and zeros of both signs, and labels with
+    both classes; a third of them have a single case or a single control,
+    which forces redraws."""
+    scores = draw(st.lists(st.one_of(
+        # Rounded scores tie heavily; round() also yields -0.0.
+        st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e3, 1e3),
+    ), min_size=2, max_size=30))
+    n = len(scores)
+    rare = draw(st.sampled_from(["none", "case", "control"]))
+    if rare == "none":
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        labels = [int(rare == "control")] * n
+        labels[draw(st.integers(0, n - 1))] = int(rare == "case")
+    if min(labels) == max(labels):
+        labels[0] = 1 - labels[0]
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_samples(), st.integers(1, 40), st.sampled_from([1, 3, 7, 256]),
+       st.integers(0, 2**32 - 1))
+@example((np.array([0.0, -0.0, -0.0, 0.0, 0.5, -0.5]), np.array([1, 1, 0, 1, 0, 0])),
+         23, 7, 3)
+def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, chunk, seed):
+    """The counting kernel reproduces optimize plus sweep_metrics per
+    resample in every c_hat, metric interval, band and redraw count, for
+    every criterion and chunk size (B is rarely a multiple of it)."""
+    scores, labels = sample
+    old = bootstrap._CHUNK
+    bootstrap._CHUNK = chunk
+    try:
+        for criterion in CRITERIA:
+            cfg = BootstrapConfig(B=B, seed=seed)
+            try:
+                want = bootstrap_scalar_oracle(scores, labels, criterion, B=B, seed=seed)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=str(exc)):
+                    bootstrap_scalar(scores, labels, criterion, cfg)
+                continue
+            got = bootstrap_scalar(scores, labels, criterion, cfg)
+            assert hex_list(got.c_hats) == hex_list(want["c_hats"]), criterion
+            for name, ci in want["metric_cis"].items():
+                assert hex_list(got.metric_cis[name]) == hex_list(ci), name
+            assert got.redraws == want["redraws"]
+            assert hex_list(got.sweep_c) == hex_list(want["sweep_c"])
+            assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
+            assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
+    finally:
+        bootstrap._CHUNK = old
+
+
 def test_ci_brackets_the_resampling_distribution():
     rng = np.random.default_rng(SEED + 2)
     scores, labels = scalar_sample(rng, 30, 30)
@@ -196,6 +259,48 @@ def test_functional_bootstrap_matches_per_replicate_oracle(mu_mode, with_sigma,
     np.testing.assert_array_equal([got.sens_lower, got.sens_upper], want["sens_band"])
     np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
     np.testing.assert_array_equal([got.curve_lower, got.curve_upper], want["curve_band"])
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_functional_bootstrap_prints_sweeps_signed_zero(criterion):
+    """Zero margins of both signs: every case curve is +0.0, so the case
+    mean is +0.0, and control curves at -0.0 score -0.0 - 0.0 = -0.0.
+    c_hat must print the zero that optimize gives each resample."""
+    rng = np.random.default_rng(SEED + 10)
+    grid = default_grid(1)
+    curves, labels = [], {}
+    for i in range(40):
+        case = i % 2
+        value = 0.0 if case else rng.choice([-1.0, -0.0])
+        curves.append(QuantileCurve(f"s{i}", grid, np.array([value])))
+        labels[f"s{i}"] = case
+    kwargs = dict(mu_mode="group-mean", group=1)
+    got = bootstrap_cutpoint(curves, labels, criterion, BootstrapConfig(B=60, seed=4),
+                             **kwargs)
+    want = bootstrap_cutpoint_oracle(curves, labels, criterion, B=60, seed=4, **kwargs)
+    assert hex_list(got.c_hats) == hex_list(want["c_hats"])
+    assert got.metric_cis == want["metric_cis"]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_functional_bootstrap_chunks_match_oracle(chunk, monkeypatch):
+    """Chunks of 1 and 7 replicates (the last chunk of 25 holds 4) sweep
+    every replicate as the per-replicate oracle does."""
+    monkeypatch.setattr(bootstrap, "_CHUNK", chunk)
+    curves, labels = generate(DgpParams(a=1.0, b=1.0, n=40, seed=21))
+    for kwargs in ({"with_sigma": True},
+                   {"mu_mode": "pointwise-median", "split_fraction": 0.5}):
+        for criterion in CRITERIA:
+            got = bootstrap_cutpoint(curves, labels, criterion,
+                                     BootstrapConfig(B=25, seed=13), **kwargs)
+            want = bootstrap_cutpoint_oracle(curves, labels, criterion, B=25, seed=13,
+                                             **kwargs)
+            assert hex_list(got.c_hats) == hex_list(want["c_hats"])
+            assert got.metric_cis == want["metric_cis"]
+            assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
+            assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
+            assert hex_list([got.curve_lower, got.curve_upper]) == \
+                hex_list(want["curve_band"])
 
 
 def test_functional_bootstrap_thread_invariance():

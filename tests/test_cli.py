@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
-from funcutpoint.cli import main
+from funcutpoint.cli import _read_scores, main
 from funcutpoint.cutpoint import roc_points
 from funcutpoint.quantiles import default_grid, read_curves_csv, read_grid_json
 from funcutpoint.threshold import ThresholdFamily, write_cutoff_json
@@ -499,3 +501,58 @@ def test_classify_rejects_bad_cutoff(ingested, tmp_path, capsys, field, value, m
     err = capsys.readouterr().err
     assert f"cutoff file {cutoff}: {message}" in err
     assert not (tmp_path / "cls" / "predictions.csv").exists()
+
+
+SCORE_IDS = st.text(alphabet="abXY09_-.", min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(SCORE_IDS, st.floats(-1e300, 1e300), st.integers(0, 1)),
+                min_size=1, max_size=10, unique_by=lambda row: row[0]),
+       st.integers(0, 2))
+def test_scores_csv_round_trip_is_exact(tmp_path, rows, position):
+    """The scores reader returns the ids in file order, the written floats
+    bit for bit from any column, and each id's label."""
+    names = ["other_a", "other_b"]
+    names.insert(position, "score")
+    scores = tmp_path / "scores.csv"
+    with open(scores, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject_id", *names])
+        for sid, value, _ in rows:
+            fields = ["1.5", "x"]
+            fields.insert(position, repr(value))
+            writer.writerow([sid, *fields])
+    labels = tmp_path / "labels.csv"
+    write_labels_file(labels, {sid: z for sid, _, z in reversed(rows)})
+    ids, values, labs = _read_scores(scores, "score", labels)
+    assert ids == [sid for sid, _, _ in rows]
+    assert [v.hex() for v in values] == [v.hex() for _, v, _ in rows]
+    assert labs.tolist() == [z for _, _, z in rows]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 4), st.sampled_from([
+    ("a,9.0", "duplicate subject_id 'a'"),
+    ("d", "wrong column count"),
+    ("d,1.0,2.0", "wrong column count"),
+    ("d,abc", "non-numeric score 'abc'"),
+    ("d,", "non-numeric score ''"),
+    ("d,nan", "non-finite score 'nan'"),
+    ("d,-inf", "non-finite score '-inf'"),
+]))
+def test_scores_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defect):
+    bad, message = defect
+    rows = ["a,0.5", "b,1.5", "c,2.5"]
+    if line_no == 2 and message.startswith("duplicate"):
+        line_no = 3
+    rows[line_no - 2] = bad
+    scores = tmp_path / "scores.csv"
+    scores.write_text("subject_id,score\n" + "\n".join(rows) + "\n")
+    labels = tmp_path / "labels.csv"
+    write_labels_file(labels, {"a": 0, "b": 1, "c": 1, "d": 0})
+    with pytest.raises(ValueError) as exc:
+        _read_scores(scores, "score", labels)
+    assert str(exc.value) == f"{scores} line {line_no}: {message}"

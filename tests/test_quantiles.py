@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from funcutpoint.quantiles import (
     QuantileCurve,
@@ -174,6 +176,54 @@ def test_curves_csv_rejects_wrong_header(tmp_path):
     path.write_text("subject_id,rho_1,rho_2\ns1,1.0,2.0\n")
     with pytest.raises(ValueError):
         read_curves_csv(path, default_grid(3))
+
+
+# Ids with separators and quotes exercise the csv quoting; the reader
+# keeps ids verbatim.
+CURVE_IDS = st.text(alphabet="abXY09_-. ,\"'", min_size=1, max_size=6)
+CURVE_VALUES = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.tuples(CURVE_IDS, st.lists(CURVE_VALUES, min_size=m, max_size=m)),
+    min_size=1, max_size=8, unique_by=lambda row: row[0])))
+def test_curves_csv_round_trip_is_exact(tmp_path, rows):
+    grid = default_grid(len(rows[0][1]))
+    curves = [QuantileCurve(sid, grid, np.sort(values)) for sid, values in rows]
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, curves)
+    got = read_curves_csv(path, grid)
+    assert [c.subject_id for c in got] == [c.subject_id for c in curves]
+    for a, b in zip(got, curves):
+        assert [v.hex() for v in a.values] == [v.hex() for v in b.values]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 4), st.sampled_from([
+    ("s1,1.0,2.0,3.0", "duplicate subject_id 's1'"),
+    ("s9,1.0,2.0", "wrong column count"),
+    ("s9,1.0,2.0,3.0,4.0", "wrong column count"),
+    ("s9,1.0,abc,3.0", "non-numeric value"),
+    ("s9,1.0,,3.0", "non-numeric value"),
+    ("s9,1.0,nan,3.0", "curve values must be finite"),
+    ("s9,-inf,2.0,3.0", "curve values must be finite"),
+    ("s9,3.0,2.0,1.0", "quantile curve must be nondecreasing"),
+]))
+def test_curves_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defect):
+    """A bad row at any line fails with the file, the line and the reason."""
+    bad, message = defect
+    rows = ["s1,1.0,2.0,3.0", "s2,1.5,2.5,3.5", "s3,0.0,0.0,0.0"]
+    if line_no == 2 and message.startswith("duplicate"):
+        line_no = 3
+    rows[line_no - 2] = bad
+    path = tmp_path / "curves.csv"
+    path.write_text("subject_id,rho_1,rho_2,rho_3\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_curves_csv(path, default_grid(3))
+    assert str(exc.value) == f"curves file {path} line {line_no}: {message}"
 
 
 def test_grid_json_shape(tmp_path):

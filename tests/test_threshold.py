@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_above_threshold
+from funcutpoint.cutpoint import CRITERIA
 from funcutpoint.quantiles import QuantileCurve, default_grid
 from funcutpoint.threshold import (
     SIGMA_FLOOR,
@@ -229,3 +232,50 @@ def test_cutoff_json_roundtrip(tmp_path):
     write_cutoff_json(plain, fam, c_hat=-0.5, criterion="max_sensitivity")
     _, c2, crit2, sm2 = read_cutoff_json(plain)
     assert (c2, crit2, sm2) == (-0.5, "max_sensitivity", None)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m),
+    st.lists(st.floats(1e-300, 1e300), min_size=m, max_size=m),
+    st.none() | st.lists(st.floats(-1e300, 1e300), min_size=m, max_size=m),
+)), st.floats(-1e300, 1e300), st.sampled_from(CRITERIA))
+def test_cutoff_json_round_trip_is_exact(tmp_path, arrays, c_hat, criterion):
+    mu, sigma, smoothed = arrays
+    fam = ThresholdFamily(default_grid(len(mu)), np.array(mu), np.array(sigma))
+    path = tmp_path / "cutoff.json"
+    write_cutoff_json(path, fam, c_hat, criterion, smoothed_curve=smoothed)
+    got_fam, got_c, got_criterion, got_smoothed = read_cutoff_json(path)
+    for got, want in ((got_fam.grid, fam.grid), (got_fam.mu, fam.mu),
+                      (got_fam.sigma, fam.sigma)):
+        assert hexes(got) == hexes(want)
+    assert (got_c.hex(), got_criterion) == (float(c_hat).hex(), criterion)
+    assert (got_smoothed is None) == (smoothed is None)
+    if smoothed is not None:
+        assert hexes(got_smoothed) == hexes(smoothed)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([float("nan"), float("inf"), -float("inf")]) | st.floats(-5.0, 5.0),
+       st.sampled_from(CRITERIA) | st.text(max_size=12))
+def test_cutoff_json_rejects_bad_c_hat_and_criterion(tmp_path, c_hat, criterion):
+    grid = default_grid(3)
+    fam = ThresholdFamily(grid, np.zeros(3), np.ones(3))
+    path = tmp_path / "cutoff.json"
+    write_cutoff_json(path, fam, c_hat, criterion)
+    if not np.isfinite(c_hat):
+        message = f"cutoff file {path}: c_hat must be finite, got {c_hat!r}"
+    elif criterion not in CRITERIA:
+        message = f"cutoff file {path}: unknown criterion {criterion!r}"
+    else:
+        assert read_cutoff_json(path)[1:3] == (c_hat, criterion)
+        return
+    with pytest.raises(ValueError) as exc:
+        read_cutoff_json(path)
+    assert str(exc.value) == message
