@@ -25,6 +25,9 @@ __all__ = [
     "sweep_metrics",
     "Sweep",
     "sweep",
+    "sorted_sweeps",
+    "candidates",
+    "zero_candidate",
     "pick",
     "optimize",
     "roc_points",
@@ -223,30 +226,70 @@ def _rates(cases_below, below):
 
 
 def sweep(scores, labels) -> Sweep:
-    """Validate a sample and sort it once into its candidate sweep.
+    """Validate a sample and sort it once into its candidate sweep: the
+    one-row case of sorted_sweeps and candidates.
 
-    The candidates are the first value of each run of equal sorted scores
-    plus max + 1, and the class counts come from one cumsum of the sorted
-    labels. +0.0 and -0.0 compare equal, and candidate_set keeps whichever
-    zero np.unique's own sort puts first; when the zero run holds both
-    signs, the zero candidate is taken from np.unique so that c_hat and
-    the sweep print the same sign.
+    The class counts come from one cumsum of the sorted labels, so sens
+    and spec are the quotients sweep_metrics gives at the candidates.
     """
     scores, labels = validate_sample(scores, labels)
-    order = np.argsort(scores)
-    values = scores[order]
-    cases_below = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(labels[order], out=cases_below[1:])
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    cs = np.append(values[starts], values[-1] + 1.0)
-    below = np.append(starts, values.size)
-    k = int(np.searchsorted(cs, 0.0))
-    if k < starts.size and cs[k] == 0.0:
-        signs = np.signbit(values[below[k]:below[k + 1]])
-        if signs.any() and not signs.all():
-            cs[k] = np.unique(scores)[k]
-    sens, spec = _rates(cases_below, below)
-    return Sweep(values, cases_below, cs, sens, spec)
+    values, cases_below, present = sorted_sweeps(scores[None], labels[None])
+    below = np.flatnonzero(present[0])
+    cs = candidates(scores[None], values, below[None])[0]
+    sens, spec = _rates(cases_below[0], below)
+    return Sweep(values[0], cases_below[0], cs, sens, spec)
+
+
+def sorted_sweeps(scores, labels):
+    """Sort each row of a 2-d array of samples once.
+
+    Column k < n of a row is the threshold at its k-th sorted score and
+    column n the sentinel above them all, so k scores lie below column k.
+    Returns the sorted scores, cases_below, where cases_below[r, k] counts
+    the cases among values[r, :k], and present, which marks the candidates:
+    the first score of each run of equal scores, and the sentinel.
+    """
+    rows, n = scores.shape
+    # Flat indices of each row's sorted order: one 1-d gather per array.
+    order = np.argsort(scores, axis=1)
+    order += np.arange(0, rows * n, n)[:, None]
+    values = scores.ravel()[order]
+    cases_below = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(labels.ravel()[order], axis=1, out=cases_below[:, 1:])
+    present = np.ones((rows, n + 1), dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=present[:, 1:-1])
+    return values, cases_below, present
+
+
+def candidates(scores, values, cols):
+    """The candidates at columns cols[r, :] of row r of sorted_sweeps, as
+    candidate_set(scores[r]) prints them: the sorted score there, or the
+    row's max + 1 at the sentinel. +0.0 and -0.0 compare equal, so a zero
+    candidate takes zero_candidate's sign."""
+    rows, n = values.shape
+    flat = np.minimum(cols, n - 1)
+    flat += np.arange(0, rows * n, n)[:, None]
+    cs = values.ravel()[flat]
+    sentinel = cols == n
+    np.add(cs, 1.0, out=cs, where=sentinel)
+    if (cs == 0.0).any():
+        for r, j in zip(*np.nonzero((cs == 0.0) & ~sentinel)):
+            run = values[r, cols[r, j]:np.searchsorted(values[r], 0.0, side="right")]
+            cs[r, j] = zero_candidate(run, scores[r])
+    return cs
+
+
+def zero_candidate(zeros, scores) -> float:
+    """The zero that candidate_set(scores) keeps, given the sample's zero
+    scores: their one sign, or np.unique's zero when both signs occur
+    (np.unique's sort, not argsort's, decides which comes first)."""
+    signs = np.signbit(zeros)
+    if not signs.any():
+        return 0.0
+    if signs.all():
+        return -0.0
+    distinct = np.unique(scores)
+    return distinct[np.searchsorted(distinct, 0.0)]
 
 
 def optimize(

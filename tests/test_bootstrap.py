@@ -141,17 +141,19 @@ def tied_samples(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tied_samples(), st.integers(1, 40), st.sampled_from([1, 3, 7, 256]),
+@given(tied_samples(), st.integers(1, 40), st.sampled_from([1, 40, 100, 2**16]),
        st.integers(0, 2**32 - 1))
 @example((np.array([0.0, -0.0, -0.0, 0.0, 0.5, -0.5]), np.array([1, 1, 0, 1, 0, 0])),
-         23, 7, 3)
-def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, chunk, seed):
+         23, 20, 3)
+def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, cap, seed):
     """The counting kernel reproduces optimize plus sweep_metrics per
     resample in every c_hat, metric interval, band and redraw count, for
-    every criterion and chunk size (B is rarely a multiple of it)."""
+    every criterion and chunk size: an element cap of 1 counts one replicate
+    at a time, 40 and 100 count chunks of 1 to 50 (B is rarely a multiple
+    of them), and the default counts all of them at once."""
     scores, labels = sample
-    old = bootstrap._CHUNK
-    bootstrap._CHUNK = chunk
+    old = bootstrap._CHUNK_ELEMENTS
+    bootstrap._CHUNK_ELEMENTS = cap
     try:
         for criterion in CRITERIA:
             cfg = BootstrapConfig(B=B, seed=seed)
@@ -170,7 +172,7 @@ def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, chunk, s
             assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
             assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
     finally:
-        bootstrap._CHUNK = old
+        bootstrap._CHUNK_ELEMENTS = old
 
 
 def test_ci_brackets_the_resampling_distribution():
@@ -282,11 +284,12 @@ def test_functional_bootstrap_prints_sweeps_signed_zero(criterion):
     assert got.metric_cis == want["metric_cis"]
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_functional_bootstrap_chunks_match_oracle(chunk, monkeypatch):
-    """Chunks of 1 and 7 replicates (the last chunk of 25 holds 4) sweep
-    every replicate as the per-replicate oracle does."""
-    monkeypatch.setattr(bootstrap, "_CHUNK", chunk)
+@pytest.mark.parametrize("cap", [1, 287])
+def test_functional_bootstrap_chunks_match_oracle(cap, monkeypatch):
+    """Chunks of 1 replicate, and of 7 and 13 (287 elements over 41 and 21
+    candidate columns; B = 25 is a multiple of neither) sweep every
+    replicate as the per-replicate oracle does."""
+    monkeypatch.setattr(bootstrap, "_CHUNK_ELEMENTS", cap)
     curves, labels = generate(DgpParams(a=1.0, b=1.0, n=40, seed=21))
     for kwargs in ({"with_sigma": True},
                    {"mu_mode": "pointwise-median", "split_fraction": 0.5}):

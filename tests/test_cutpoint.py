@@ -13,9 +13,11 @@ from funcutpoint.cutpoint import (
     CutpointResult,
     auc,
     candidate_set,
+    candidates,
     confusion_at,
     optimize,
     roc_points,
+    sorted_sweeps,
     write_result_json,
     write_roc_csv,
     write_sweep_csv,
@@ -179,6 +181,42 @@ def test_optimize_matches_oracle_bit_for_bit(pairs):
             if field.name != "criterion":
                 assert float_bits(getattr(got, field.name)) == \
                     float_bits(getattr(want, field.name)), field.name
+
+
+@st.composite
+def score_rows(draw):
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    value = st.one_of(st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+                      st.sampled_from([0.0, -0.0]))
+    scores = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                           min_size=rows, max_size=rows))
+    labels = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=rows, max_size=rows))
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(score_rows())
+@example((np.array([[x for x, _ in MIXED_ZEROS], [-0.0, 0.0, 0.0, -0.0, -1.0, 0.0,
+                                                   -0.0, -0.0, 0.0]]),
+          np.array([[z for _, z in MIXED_ZEROS], [1, 0, 1, 0, 0, 1, 1, 0, 0]])))
+def test_sorted_sweeps_rows_are_candidate_sets(sample):
+    """Each row of a 2-d sort yields candidate_set of that row, zero signs
+    included, and the cases below each candidate; one column per row (the
+    first candidate, then the sentinel) reads the same values."""
+    scores, labels = sample
+    rows, n = scores.shape
+    values, cases_below, present = sorted_sweeps(scores, labels)
+    for r in range(rows):
+        want = candidate_set(scores[r])
+        cols = np.flatnonzero(present[r])
+        got = candidates(scores[r:r + 1], values[r:r + 1], cols[None])[0]
+        assert float_bits(got) == float_bits(want)
+        assert cases_below[r, cols].tolist() == \
+            [int(labels[r][scores[r] < c].sum()) for c in want]
+    for k, col in ((0, 0), (-1, n)):
+        got = candidates(scores, values, np.full((rows, 1), col))[:, 0]
+        assert float_bits(got) == float_bits([candidate_set(row)[k] for row in scores])
 
 
 @settings(max_examples=300, deadline=None)
