@@ -26,19 +26,10 @@ from .cutpoint import (
     sweep_metrics,
 )
 from .indices import IndexVector, basic_indices, compute_indices, conga, mage
-from .ingest import SubjectSeries, filter_days, ingest_cohort, parse_cohort
+from .ingest import SubjectSeries, filter_days, ingest_cohort
 from .monotone import SmoothConfig, monotone_smooth, moving_average, pava
 from .normal import TruncNormalSpec, norm_cdf, norm_quantile, tn_quantile
-from .quantiles import (
-    QuantileCurve,
-    default_grid,
-    density_plot_data,
-    empirical_cdf,
-    empirical_quantile,
-    fraction_at_or_above,
-    fraction_at_or_below,
-    time_in_range,
-)
+from .quantiles import QuantileCurve, default_grid, empirical_quantile
 from .simulate import DgpParams, generate, run_study
 from .threshold import (
     ThresholdFamily,
@@ -71,7 +62,6 @@ __all__ = [
     "SubjectSeries",
     "filter_days",
     "ingest_cohort",
-    "parse_cohort",
     "SmoothConfig",
     "monotone_smooth",
     "moving_average",
@@ -82,12 +72,7 @@ __all__ = [
     "tn_quantile",
     "QuantileCurve",
     "default_grid",
-    "density_plot_data",
-    "empirical_cdf",
     "empirical_quantile",
-    "fraction_at_or_above",
-    "fraction_at_or_below",
-    "time_in_range",
     "DgpParams",
     "generate",
     "run_study",

@@ -23,7 +23,8 @@ import numpy as np
 
 from .cutpoint import (candidates, optimize, pick, sorted_sweeps, validate_sample,
                        zero_candidate)
-from .threshold import SIGMA_FLOOR, estimate_mu, margin_vector
+from .quantiles import curve_matrix
+from .threshold import ThresholdFamily, standardise
 
 __all__ = [
     "BootstrapConfig",
@@ -99,21 +100,6 @@ def _draw_indices(rng, n: int, max_redraws: int, acceptable) -> tuple[np.ndarray
         fails += 1
         if fails > max_redraws:
             raise RuntimeError("bootstrap infeasible: class too rare")
-
-
-def _estimate_mu_matrix(matrix, labels, mode, group, with_sigma):
-    if mode == "pooled-mean":
-        mu = matrix.mean(axis=0)
-    elif mode == "group-mean":
-        mu = matrix[labels == group].mean(axis=0)
-    else:
-        ordered = np.sort(matrix, axis=0)
-        mu = ordered[(matrix.shape[0] - 1) // 2]
-    if with_sigma:
-        sigma = np.maximum(matrix.std(axis=0, ddof=1), SIGMA_FLOOR)
-    else:
-        sigma = np.ones_like(mu)
-    return mu, sigma
 
 
 def _columns(B: int, curve_m: int | None = None) -> dict[str, np.ndarray]:
@@ -234,9 +220,9 @@ def bootstrap_cutpoint(
 
     With split_fraction f, the first ceil(f*n) subjects of each resample
     estimate the centrality curve and the rest are scored against it;
-    the point estimate itself is never split. Each replicate's margins are
-    computed on its own; a chunk of them is then sorted and swept at once
-    (cutpoint.sorted_sweeps). Replicates run serially; `threads` is
+    the point estimate itself is never split. Each replicate's margins come
+    from threshold.standardise on its own resample; a chunk of them is then
+    sorted and swept at once (cutpoint.sorted_sweeps). Replicates run serially; `threads` is
     accepted for compatibility and affects nothing.
     """
     try:
@@ -244,14 +230,13 @@ def bootstrap_cutpoint(
     except KeyError as exc:
         raise ValueError(f"no label for subject {exc.args[0]!r}") from None
 
-    family = estimate_mu(curves, mu_mode, labels=labels, group=group,
-                         with_sigma=with_sigma)
-    margins = np.array(list(margin_vector(curves, family).values()))
+    grid, matrix = curve_matrix(curves)
+    n, m = matrix.shape
+    # standardise works in place, and the matrix itself is resampled below.
+    mu, sigma, margins = standardise(matrix.copy(), labels_arr, mu_mode, group, with_sigma)
+    family = ThresholdFamily(grid, mu, sigma)
     validate_sample(margins, labels_arr)
     point = optimize(margins, labels_arr, criterion)
-
-    matrix = np.vstack([c.values for c in curves])
-    n, m = matrix.shape
     ref_grid = np.linspace(margins.min(), margins.max(), SWEEP_BAND_POINTS)
 
     k_split = 0
@@ -263,9 +248,6 @@ def bootstrap_cutpoint(
             raise ValueError("split_fraction leaves no subjects to score")
         if with_sigma and k_split < 2:
             raise ValueError("sigma estimation needs at least 2 estimation subjects")
-    # Without a split, the pooled mean is the mean of the scored rows.
-    centre_in_place = mu_mode == "pooled-mean" and k_split == 0
-    ones = np.ones(m)
     n_eval = n - k_split
 
     def acceptable(idx) -> bool:
@@ -278,6 +260,11 @@ def bootstrap_cutpoint(
         return True
 
     cols = _columns(cfg.B, m)
+    # Every replicate gathers its rows into one buffer rather than a fresh
+    # n x m array, whose pages a cold process would fault in anew. Mode
+    # "clip" keeps np.take from copying the buffer first, as mode "raise"
+    # does; every index is in range.
+    buf = np.empty_like(matrix)
     for span in _chunks(cfg.B, n_eval + 1):
         size = span.stop - span.start
         scores = np.empty((size, n_eval))
@@ -287,39 +274,13 @@ def bootstrap_cutpoint(
         for r, b in enumerate(range(span.start, span.stop)):
             idx, cols["fails"][b] = _draw_indices(
                 _substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
-            sample = matrix[idx]
-            if centre_in_place:
-                # mu_b is the mean of the scored rows, so they are centred
-                # once, in place, and sigma_b takes np.std's own steps from
-                # them: the sum of squares along axis 0 over n - 1, then
-                # sqrt. Without sigma the division is skipped (x / 1.0 == x).
-                mu_b = sample.mean(axis=0)
-                ev = sample
-                ev -= mu_b
-                sigma_b = ones
-                if with_sigma:
-                    sigma_b = np.add.reduce(np.square(ev), axis=0)
-                    sigma_b /= n - 1
-                    sigma_b = np.maximum(np.sqrt(sigma_b, out=sigma_b), SIGMA_FLOOR)
-                    ev /= sigma_b
-            else:
-                # Leading rows of a C-contiguous array reduce in the same
-                # order as a copy of them, so mu and sigma are exact; the
-                # evaluation rows are then standardised in place (mu_b and
-                # sigma_b never alias them).
-                k_est = k_split or n
-                mu_b, sigma_b = _estimate_mu_matrix(
-                    sample[:k_est], labels_arr[idx[:k_est]], mu_mode, group, with_sigma
-                )
-                ev = sample[k_split:]
-                ev -= mu_b
-                ev /= sigma_b
-            np.minimum.reduce(ev, axis=1, out=scores[r])
+            np.take(matrix, idx, axis=0, out=buf, mode="clip")
+            lab_b = labels_arr[idx]
+            mus[r], sigmas[r], scores[r] = standardise(buf, lab_b, mu_mode, group,
+                                                       with_sigma, k_split)
             if not np.isfinite(scores[r]).all():
                 raise ValueError("scores must be finite")
-            lab[r] = labels_arr[idx[k_split:]]
-            mus[r] = mu_b
-            sigmas[r] = sigma_b
+            lab[r] = lab_b[k_split:]
 
         values, case_lt, present = sorted_sweeps(scores, lab)
         grid_below = np.array([np.searchsorted(v, ref_grid, side="left") for v in values])

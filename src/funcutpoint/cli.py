@@ -38,6 +38,7 @@ from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
 from .ingest import GAP_MODES, ingest_cohort, parse_labels, write_report_json
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
+    curve_matrix,
     default_grid,
     empirical_quantile,
     read_curves_csv,
@@ -49,11 +50,12 @@ from .simulate import SPREAD_MODES, U2_MODES, run_study, summarize_study, \
     write_study_csv, write_summary_csv
 from .threshold import (
     MU_MODES,
+    ThresholdFamily,
     classify,
     cutoff_curve,
-    estimate_mu,
     margin_vector,
     read_cutoff_json,
+    standardise,
     write_cutoff_json,
 )
 
@@ -171,36 +173,30 @@ def _read_scores(scores_path, column: str, labels_path):
                 raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
     if not ids:
         raise ValueError(f"{scores_path}: no data rows")
+    return ids, np.asarray(values), _label_array(ids, labels_path)
+
+
+def _label_array(ids, labels_path) -> np.ndarray:
     labels = parse_labels(labels_path)
     missing = [sid for sid in ids if sid not in labels]
     if missing:
         raise ValueError(f"no label for subject {missing[0]!r}")
-    return ids, np.asarray(values), np.array([labels[sid] for sid in ids], dtype=int)
+    return np.array([labels[sid] for sid in ids], dtype=int)
 
 
-def _load_functional(args):
-    grid = read_grid_json(args.grid)
-    curves = read_curves_csv(args.curves, grid)
-    labels = parse_labels(args.labels)
-    missing = [c.subject_id for c in curves if c.subject_id not in labels]
-    if missing:
-        raise ValueError(f"no label for subject {missing[0]!r}")
-    return curves, labels
-
-
-def _margins_and_labels(curves, labels, args):
-    family = estimate_mu(
-        curves,
-        args.mu_mode,
-        labels=labels,
-        group=args.group,
-        with_sigma=args.with_sigma,
-    )
-    margins_map = margin_vector(curves, family)
-    ids = list(margins_map)
-    scores = np.array([margins_map[sid] for sid in ids])
-    labels_arr = np.array([labels[sid] for sid in ids], dtype=int)
-    return family, ids, scores, labels_arr
+def _scored_sample(args):
+    """(family, scores, labels) in file order: the fitted family and each
+    curve's margin on the functional route; None and the scores, negated
+    for --direction low, on the scalar route."""
+    if args.scores:
+        _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
+        return None, (-scores if args.direction == "low" else scores), labels_arr
+    curves = read_curves_csv(args.curves, read_grid_json(args.grid))
+    grid, matrix = curve_matrix(curves)
+    labels_arr = _label_array([c.subject_id for c in curves], args.labels)
+    mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
+                                    args.with_sigma)
+    return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
 
 def cmd_ingest(args, out_dir: Path) -> None:
@@ -222,12 +218,11 @@ def cmd_ingest(args, out_dir: Path) -> None:
 
 
 def cmd_fit(args, out_dir: Path) -> None:
-    extra = {}
-    if args.curves:
-        curves, labels = _load_functional(args)
-        family, _, scores, labels_arr = _margins_and_labels(curves, labels, args)
-        result = optimize(scores, labels_arr, args.criterion,
-                          bounds=args.bounds, c_grid=args.c_grid)
+    family, scores, labels_arr = _scored_sample(args)
+    result = optimize(scores, labels_arr, args.criterion,
+                      bounds=args.bounds, c_grid=args.c_grid)
+    extra = {"n_subjects": int(labels_arr.size)}
+    if family is not None:
         smoothed = None
         if args.smooth:
             smoothed, max_change = monotone_smooth(
@@ -237,17 +232,10 @@ def cmd_fit(args, out_dir: Path) -> None:
             extra["smoothing_max_change"] = max_change
         write_cutoff_json(out_dir / "cutoff.json", family, result.c_hat,
                           args.criterion, smoothed)
-        extra["n_subjects"] = int(labels_arr.size)
     else:
-        ids, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
-        if args.direction == "low":
-            scores = -scores
-        result = optimize(scores, labels_arr, args.criterion,
-                          bounds=args.bounds, c_grid=args.c_grid)
         extra["direction"] = args.direction
         if args.direction == "low":
             extra["score_scale"] = "negated"
-        extra["n_subjects"] = int(labels_arr.size)
     write_result_json(out_dir / "result.json", result, extra)
     write_sweep_csv(out_dir / "sweep.csv", result)
     write_roc_csv(out_dir / "roc.csv", result)
@@ -258,10 +246,10 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
                           max_redraws=args.max_redraws)
     try:
         if args.curves:
-            curves, labels = _load_functional(args)
+            # bootstrap_cutpoint names the first curve without a label.
             summary = bootstrap_cutpoint(
-                curves,
-                labels,
+                read_curves_csv(args.curves, read_grid_json(args.grid)),
+                parse_labels(args.labels),
                 args.criterion,
                 cfg,
                 mu_mode=args.mu_mode,
@@ -272,10 +260,7 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
             )
             write_curve_band_csv(out_dir / "curve_band.csv", summary)
         else:
-            _, scores, labels_arr = _read_scores(args.scores, args.score_column,
-                                                 args.labels)
-            if args.direction == "low":
-                scores = -scores
+            _, scores, labels_arr = _scored_sample(args)
             summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg,
                                        threads=args.threads)
     except ValueError as exc:
@@ -288,8 +273,7 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
 
 def cmd_classify(args, out_dir: Path) -> None:
     family, c_hat, criterion, _ = read_cutoff_json(args.cutoff)
-    grid = read_grid_json(args.grid)
-    curves = read_curves_csv(args.curves, grid)
+    curves = read_curves_csv(args.curves, read_grid_json(args.grid))
     margins = margin_vector(curves, family)
     predictions = classify(margins, c_hat)
     with open(out_dir / "predictions.csv", "w", newline="") as fh:
@@ -298,12 +282,8 @@ def cmd_classify(args, out_dir: Path) -> None:
         for sid in margins:
             writer.writerow([sid, repr(float(margins[sid])), predictions[sid]])
     if args.labels:
-        labels = parse_labels(args.labels)
-        missing = [sid for sid in margins if sid not in labels]
-        if missing:
-            raise ValueError(f"no label for subject {missing[0]!r}")
-        scores = np.array([margins[sid] for sid in margins])
-        labels_arr = np.array([labels[sid] for sid in margins], dtype=int)
+        scores = np.array(list(margins.values()))
+        labels_arr = _label_array(list(margins), args.labels)
         sens, spec, youden = confusion_at(scores, labels_arr, c_hat)
         payload = {
             "c_hat": c_hat,
@@ -366,13 +346,7 @@ def cmd_indices(args, out_dir: Path) -> None:
 
 
 def cmd_roc(args, out_dir: Path) -> None:
-    if args.curves:
-        curves, labels = _load_functional(args)
-        _, _, scores, labels_arr = _margins_and_labels(curves, labels, args)
-    else:
-        _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
-        if args.direction == "low":
-            scores = -scores
+    _, scores, labels_arr = _scored_sample(args)
     result = optimize(scores, labels_arr)
     write_roc_csv(out_dir / "roc.csv", result)
     payload = {

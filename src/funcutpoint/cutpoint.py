@@ -103,14 +103,16 @@ def confusion_at(scores, labels, c: float):
 
 
 def candidate_set(scores) -> np.ndarray:
-    """Distinct scores plus one sentinel above the maximum."""
+    """Distinct scores plus one sentinel above the maximum: the independent
+    reference that the test oracles check `sweep` against."""
     scores = np.asarray(scores, dtype=float)
     distinct = np.unique(scores)
     return np.append(distinct, distinct[-1] + 1.0)
 
 
 def sweep_metrics(scores, labels, cs):
-    """Vectorized (sensitivity, specificity) arrays at thresholds cs."""
+    """Vectorized (sensitivity, specificity) arrays at thresholds cs: the
+    independent reference that the test oracles check `sweep` against."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     cases = np.sort(scores[labels == 1])
@@ -122,7 +124,8 @@ def sweep_metrics(scores, labels, cs):
 
 
 def roc_points(scores, labels):
-    """ROC over the full candidate sweep, sorted by false-positive rate."""
+    """ROC over the full candidate sweep, sorted by false-positive rate: the
+    independent reference that the test oracles check `Sweep.roc` against."""
     cs = candidate_set(scores)
     sens, spec = sweep_metrics(scores, labels, cs)
     return (1.0 - spec)[::-1], sens[::-1]
@@ -132,6 +135,8 @@ def auc(scores, labels) -> float:
     """Trapezoidal area under the full-sweep ROC.
 
     Equals the concordance probability P(case > control) + 0.5 P(equal).
+    The independent reference that the tests check optimize's AUC against,
+    and that the acceptance gate checks against the rank statistic.
     """
     scores, labels = validate_sample(scores, labels)
     fpr, tpr = roc_points(scores, labels)

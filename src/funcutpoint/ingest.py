@@ -17,13 +17,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantiles import GLUCOSE_HI, GLUCOSE_LO
-
 __all__ = [
     "SubjectSeries",
     "parse_series",
     "parse_labels",
-    "parse_cohort",
     "filter_days",
     "ingest_cohort",
     "write_series_csv",
@@ -31,6 +28,9 @@ __all__ = [
 ]
 
 SECONDS_PER_DAY = 86400
+# The device's reporting range in mg/dL: readings outside it are clamped.
+GLUCOSE_LO = 40.0
+GLUCOSE_HI = 400.0
 GAP_MODES = ("single", "cumulative")
 # Deltas up to 1.5x the nominal interval are ordinary sampling jitter, not
 # data loss; only longer deltas count toward a day's non-acquisition time.
@@ -356,13 +356,6 @@ def parse_labels(path) -> dict[str, int]:
     if not labels:
         raise ValueError(f"{path}: no label rows")
     return labels
-
-
-def parse_cohort(series_path, labels_path, nominal_interval_minutes: float = 5.0):
-    """Parse series and labels files; returns (series, labels, parse stats)."""
-    series, stats = parse_series(series_path, nominal_interval_minutes)
-    labels = parse_labels(labels_path)
-    return series, labels, stats
 
 
 def filter_days(

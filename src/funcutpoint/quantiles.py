@@ -1,29 +1,21 @@
 """Distributional representation: empirical quantile curves on a shared
-probability grid, CDF helpers, in-range fractions, and a density estimate
-for plotting.
+probability grid, and their grid and curves files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .normal import norm_cdf
-
 __all__ = [
     "default_grid",
     "QuantileCurve",
     "empirical_quantile",
-    "empirical_cdf",
-    "time_in_range",
-    "fraction_at_or_below",
-    "fraction_at_or_above",
-    "density_plot_data",
+    "curve_matrix",
     "write_grid_json",
     "read_grid_json",
     "write_curves_csv",
@@ -100,96 +92,56 @@ def empirical_quantile(observations, grid, subject_id: str = "") -> QuantileCurv
     return QuantileCurve(subject_id, grid, ordered[idx])
 
 
-def empirical_cdf(observations, t):
-    """Fraction of observations <= t. Accepts scalar or array t."""
-    obs = np.sort(np.asarray(observations, dtype=float))
-    if obs.size == 0:
-        raise ValueError("no data for subject")
-    counts = np.searchsorted(obs, t, side="right")
-    out = counts / obs.size
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def time_in_range(observations, lo: float, hi: float) -> float:
-    """Fraction of samples with lo <= x < hi."""
-    if not lo < hi:
-        raise ValueError("lo must be below hi")
-    obs = np.asarray(observations, dtype=float)
-    if obs.size == 0:
-        raise ValueError("no data for subject")
-    return float(np.mean((obs >= lo) & (obs < hi)))
-
-
-def fraction_at_or_below(observations, t: float) -> float:
-    """Fraction of samples with x <= t (hypoglycemia-style rule)."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.size == 0:
-        raise ValueError("no data for subject")
-    return float(np.mean(obs <= t))
-
-
-def fraction_at_or_above(observations, t: float) -> float:
-    """Fraction of samples with x >= t (time-above-range rule)."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.size == 0:
-        raise ValueError("no data for subject")
-    return float(np.mean(obs >= t))
-
-
-GLUCOSE_LO = 40.0
-GLUCOSE_HI = 400.0
-_DENSITY_POINTS = 361
-
-
-def density_plot_data(curve: QuantileCurve, bandwidth: float):
-    """Gaussian-kernel density over [40, 400] at 361 equally spaced points.
-
-    Each kernel is renormalized by its mass inside the glucose range so the
-    trapezoid integral stays within 1e-3 of 1. Plotting convenience only;
-    curve values are expected to lie inside the range. Bandwidths much
-    below the 1 mg/dL grid step undersample the kernels.
-    """
-    if not bandwidth > 0.0:
-        raise ValueError("bandwidth must be positive")
-    x = np.linspace(GLUCOSE_LO, GLUCOSE_HI, _DENSITY_POINTS)
-    vals = curve.values
-    z = (x[None, :] - vals[:, None]) / bandwidth
-    kernels = np.exp(-0.5 * z * z) / (bandwidth * math.sqrt(2.0 * math.pi))
-    mass = norm_cdf((GLUCOSE_HI - vals) / bandwidth) - norm_cdf(
-        (GLUCOSE_LO - vals) / bandwidth
-    )
-    density = np.mean(kernels / mass[:, None], axis=0)
-    return x, density
-
-
 def write_grid_json(path, grid) -> None:
     grid = check_grid(grid)
     payload = {"m": int(grid.size), "points": [float(g) for g in grid]}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def load_json_object(path, kind: str, keys) -> dict:
+    """The JSON object in `path`, with every key in `keys`; any other
+    content fails with a ValueError naming the file as "<kind> file"."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{kind} file {path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} file {path}: expected a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{kind} file {path}: missing key {key!r}")
+    return payload
+
+
 def read_grid_json(path) -> np.ndarray:
-    payload = json.loads(Path(path).read_text())
+    payload = load_json_object(path, "grid", ["points"])
     grid = check_grid(payload["points"])
     if "m" in payload and int(payload["m"]) != grid.size:
         raise ValueError(f"grid file {path}: m does not match point count")
     return grid
 
 
+def curve_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
+    """The curves' shared probability grid, and their values as an n x m
+    matrix with one row per curve, in order."""
+    if not curves:
+        raise ValueError("need at least one curve")
+    grid = curves[0].grid
+    for c in curves[1:]:
+        if c.grid is not grid and (c.grid.shape != grid.shape or np.any(c.grid != grid)):
+            raise ValueError("curves do not share one probability grid")
+    return grid, np.vstack([c.values for c in curves])
+
+
 def write_curves_csv(path, curves) -> None:
     """Wide CSV: subject_id,rho_1,...,rho_m. Grid goes in a sidecar JSON."""
     curves = list(curves)
-    if not curves:
-        raise ValueError("no curves to write")
-    m = curves[0].m
-    for c in curves:
-        if c.m != m or np.any(c.grid != curves[0].grid):
-            raise ValueError("curves must share one probability grid")
+    grid, matrix = curve_matrix(curves)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + [f"rho_{k}" for k in range(1, m + 1)])
-        for c in curves:
-            writer.writerow([c.subject_id] + [repr(float(v)) for v in c.values])
+        writer.writerow(["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)])
+        for c, values in zip(curves, matrix.tolist()):
+            writer.writerow([c.subject_id] + [repr(v) for v in values])
 
 
 def read_curves_csv(path, grid) -> list[QuantileCurve]:

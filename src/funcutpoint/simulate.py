@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutpoint import CRITERIA, sweep
-from .normal import TruncNormalSpec, norm_quantile, tn_quantile
+from .normal import TruncNormalSpec, tn_quantile
 from .quantiles import QuantileCurve, check_grid, default_grid
+from .threshold import standardise
 
 __all__ = [
     "SPREAD_MODES",
@@ -42,9 +43,6 @@ __all__ = [
     "summarize_study",
     "write_study_csv",
     "write_summary_csv",
-    "norm_quantile",
-    "tn_quantile",
-    "TruncNormalSpec",
 ]
 
 SPREAD_MODES = ("shared-base", "literal")
@@ -69,8 +67,8 @@ class DgpParams:
     q0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be nonnegative")
+        if not (0.0 <= self.a < np.inf and 0.0 <= self.b < np.inf):
+            raise ValueError("a and b must be finite and nonnegative")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not np.isfinite(self.v):
@@ -148,10 +146,10 @@ def _replicate(cell_index, r, params, seed, criteria):
         if regenerated > _MAX_REGENERATIONS:
             raise RuntimeError("could not draw a cohort with both classes")
         matrix, z = generate_arrays(params, rng)
-    matrix -= matrix.mean(axis=0)
+    _, _, margins = standardise(matrix, z)
     # One sweep serves every criterion: it is what optimize(margins, z, c)
     # scans, so each pick equals that call's sensitivity and specificity.
-    cohort = sweep(matrix.min(axis=1), z)
+    cohort = sweep(margins, z)
     results = []
     for criterion in criteria:
         i = cohort.pick(criterion)

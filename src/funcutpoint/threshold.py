@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .cutpoint import CRITERIA
-from .quantiles import QuantileCurve, check_grid
+from .quantiles import QuantileCurve, check_grid, curve_matrix, load_json_object
 
 __all__ = [
     "ThresholdFamily",
+    "standardise",
     "estimate_mu",
     "margin",
     "margin_vector",
@@ -53,14 +54,66 @@ class ThresholdFamily:
         object.__setattr__(self, "sigma", sigma)
 
 
-def _curve_matrix(curves: list[QuantileCurve]) -> np.ndarray:
-    if not curves:
-        raise ValueError("need at least one curve")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if c.grid.shape != grid.shape or np.any(c.grid != grid):
-            raise ValueError("curves do not share one probability grid")
-    return np.vstack([c.values for c in curves])
+def standardise(
+    matrix: np.ndarray,
+    labels: np.ndarray | None,
+    mode: str = "pooled-mean",
+    group: int = 0,
+    with_sigma: bool = False,
+    k_split: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit mu and sigma on the leading k_split rows of `matrix` (all rows
+    when 0), standardise the other rows in place to (Y - mu) / sigma and
+    return (mu, sigma, margins), margins being their row minima.
+
+    mu is the rows' mean ("pooled-mean"), the mean of those whose label
+    equals `group` ("group-mean"), or their lower middle value
+    ("pointwise-median"). sigma is their sample standard deviation,
+    floored at SIGMA_FLOOR, with `with_sigma`, else 1 and not divided by
+    (x / 1.0 == x). mu and sigma never alias `matrix`.
+    """
+    if mode not in MU_MODES:
+        raise ValueError(f"unknown mu mode: {mode!r}")
+    # Leading rows of a C-contiguous array reduce in the same order as a
+    # copy of them, so mu and sigma are those of the estimation rows alone.
+    est = matrix[:k_split] if k_split else matrix
+    scored = matrix[k_split:]
+    n_est = est.shape[0]
+    if with_sigma and n_est < 2:
+        raise ValueError("sigma estimation needs at least two curves")
+    if mode == "pooled-mean":
+        mu = est.mean(axis=0)
+    elif mode == "group-mean":
+        if labels is None:
+            raise ValueError("group-mean mode requires labels")
+        mask = labels[:n_est] == group
+        if not mask.any():
+            raise ValueError(f"no curves with label {group}")
+        mu = est[mask].mean(axis=0)
+    else:
+        mu = np.sort(est, axis=0)[(n_est - 1) // 2]
+
+    # Without a split the pooled mean is the mean of the scored rows, so
+    # sigma is taken from them once they are centred, with np.std's own
+    # steps: the sum of squares along axis 0, over n - 1, then sqrt.
+    centred_sigma = with_sigma and mode == "pooled-mean" and not k_split
+    sigma = None
+    if with_sigma and not centred_sigma:
+        sigma = np.maximum(est.std(axis=0, ddof=1), SIGMA_FLOOR)
+    scored -= mu
+    if centred_sigma:
+        sigma = np.add.reduce(np.square(scored), axis=0)
+        sigma /= n_est - 1
+        sigma = np.maximum(np.sqrt(sigma, out=sigma), SIGMA_FLOOR)
+    margins = _row_minima(scored, sigma)
+    return mu, np.ones_like(mu) if sigma is None else sigma, margins
+
+
+def _row_minima(centred: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:
+    """Row minima of centred / sigma, divided in place (None means 1)."""
+    if sigma is not None:
+        centred /= sigma
+    return np.minimum.reduce(centred, axis=1)
 
 
 def estimate_mu(
@@ -72,53 +125,32 @@ def estimate_mu(
 ) -> ThresholdFamily:
     """Estimate the centrality curve mu(rho); sigma is 1 unless requested.
 
-    Modes: "pooled-mean" (mean over all curves), "group-mean" (mean over
-    the curves whose label equals `group`; requires labels), and
-    "pointwise-median" (lower of the two middle values for even counts).
-    With `with_sigma` the pointwise sample standard deviation of the pooled
-    curves is used, floored at 1e-6 to keep sigma positive.
+    The list form of `standardise` over all curves, with labels keyed by
+    subject id (group-mean mode requires them).
     """
-    if mode not in MU_MODES:
-        raise ValueError(f"unknown mu mode: {mode!r}")
-    matrix = _curve_matrix(curves)
-    grid = curves[0].grid
-
-    if mode == "pooled-mean":
-        mu = matrix.mean(axis=0)
-    elif mode == "group-mean":
-        if labels is None:
-            raise ValueError("group-mean mode requires labels")
-        mask = np.array([labels[c.subject_id] == group for c in curves])
-        if not mask.any():
-            raise ValueError(f"no curves with label {group}")
-        mu = matrix[mask].mean(axis=0)
-    else:
-        ordered = np.sort(matrix, axis=0)
-        mu = ordered[(len(curves) - 1) // 2]
-
-    if with_sigma:
-        if len(curves) < 2:
-            raise ValueError("sigma estimation needs at least two curves")
-        sigma = np.maximum(matrix.std(axis=0, ddof=1), SIGMA_FLOOR)
-    else:
-        sigma = np.ones_like(mu)
+    grid, matrix = curve_matrix(curves)
+    labels_arr = None
+    if mode == "group-mean" and labels is not None:
+        labels_arr = np.array([labels[c.subject_id] for c in curves])
+    mu, sigma, _ = standardise(matrix, labels_arr, mode, group, with_sigma)
     return ThresholdFamily(grid, mu, sigma)
 
 
-def margin(curve: QuantileCurve, family: ThresholdFamily) -> float:
-    """Largest c with the curve on or above h_c at every grid point:
-    min over the grid of (Y(rho) - mu(rho)) / sigma(rho)."""
-    if curve.grid.shape != family.grid.shape or np.any(curve.grid != family.grid):
-        raise ValueError("grid mismatch")
-    return float(np.min((curve.values - family.mu) / family.sigma))
-
-
 def margin_vector(curves: list[QuantileCurve], family: ThresholdFamily) -> dict[str, float]:
-    matrix = _curve_matrix(curves)
-    if curves[0].grid.shape != family.grid.shape or np.any(curves[0].grid != family.grid):
+    """Each curve's margin against the family, keyed by subject id:
+    min over the grid of (Y(rho) - mu(rho)) / sigma(rho)."""
+    grid, matrix = curve_matrix(curves)
+    if grid.shape != family.grid.shape or np.any(grid != family.grid):
         raise ValueError("grid mismatch")
-    margins = np.min((matrix - family.mu) / family.sigma, axis=1)
-    return {c.subject_id: float(m) for c, m in zip(curves, margins)}
+    matrix -= family.mu
+    margins = _row_minima(matrix, family.sigma)
+    return dict(zip([c.subject_id for c in curves], margins.tolist()))
+
+
+def margin(curve: QuantileCurve, family: ThresholdFamily) -> float:
+    """Largest c with the curve on or above h_c at every grid point: the
+    one-curve case of margin_vector."""
+    return margin_vector([curve], family)[curve.subject_id]
 
 
 def classify(margins: dict[str, float], c: float) -> dict[str, int]:
@@ -150,7 +182,7 @@ def write_cutoff_json(
 
 
 def read_cutoff_json(path):
-    payload = json.loads(Path(path).read_text())
+    payload = load_json_object(path, "cutoff", ["grid", "mu", "sigma", "c_hat", "criterion"])
     family = ThresholdFamily(
         np.asarray(payload["grid"], dtype=float),
         np.asarray(payload["mu"], dtype=float),

@@ -503,6 +503,53 @@ def test_classify_rejects_bad_cutoff(ingested, tmp_path, capsys, field, value, m
     assert not (tmp_path / "cls" / "predictions.csv").exists()
 
 
+
+@pytest.mark.parametrize("data, message", [
+    (b"[0.25, 0.5]", "expected a JSON object"),
+    (b'{"m": 2}', "missing key 'points'"),
+    (b'{"points": [0.5]', "invalid JSON: Expecting ',' delimiter: line 1 column 17 (char 16)"),
+    (b"\xff{}", "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+])
+def test_bad_grid_file_is_named(ingested, tmp_path, capsys, data, message):
+    curves_dir, labels = ingested
+    grid = tmp_path / "grid.json"
+    grid.write_bytes(data)
+    rc = main(["fit", "--curves", str(curves_dir / "curves.csv"), "--grid", str(grid),
+               "--labels", str(labels), "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: grid file {grid}: {message}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"[]", "expected a JSON object"),
+    (b'{"grid": [0.5], "sigma": [1.0], "c_hat": 0.0, "criterion": "youden"}',
+     "missing key 'mu'"),
+    (b'{"grid": [0.5], ', "invalid JSON: Expecting property name enclosed in double "
+                         "quotes: line 1 column 17 (char 16)"),
+])
+def test_bad_cutoff_file_is_named(ingested, tmp_path, capsys, data, message):
+    curves_dir, _ = ingested
+    cutoff = tmp_path / "cutoff.json"
+    cutoff.write_bytes(data)
+    rc = main(["classify", "--cutoff", str(cutoff),
+               "--curves", str(curves_dir / "curves.csv"),
+               "--grid", str(curves_dir / "grid.json"), "--out", str(tmp_path / "cls")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: cutoff file {cutoff}: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--a", "nan"), ("--a", "inf"), ("--b", "nan"), ("--b", "inf"),
+])
+def test_simulate_rejects_non_finite_separation(tmp_path, capsys, flag, value):
+    ab = {"--a": "1", "--b": "0", flag: value}
+    rc = main(["simulate", "--a", ab["--a"], "--b", ab["--b"], "--n", "10", "--R", "2",
+               "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a and b must be finite and nonnegative\n"
+    assert not (tmp_path / "s" / "study.csv").exists()
+
 SCORE_IDS = st.text(alphabet="abXY09_-.", min_size=1, max_size=6)
 
 

@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 from funcutpoint.quantiles import (
     QuantileCurve,
     default_grid,
-    density_plot_data,
-    empirical_cdf,
     empirical_quantile,
-    fraction_at_or_above,
-    fraction_at_or_below,
     read_curves_csv,
     read_grid_json,
-    time_in_range,
     write_curves_csv,
     write_grid_json,
 )
@@ -90,7 +85,8 @@ def test_quantile_cdf_duality():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(30):
         obs = rng.normal(100.0, 20.0, size=int(rng.integers(3, 50)))
-        probs = np.unique(empirical_cdf(obs, obs))
+        # F(x): the fraction of observations <= x.
+        probs = np.unique(np.searchsorted(np.sort(obs), obs, side="right") / obs.size)
         curve = empirical_quantile(obs, probs)
         np.testing.assert_array_equal(curve.values, np.unique(obs))
 
@@ -109,46 +105,6 @@ def test_curve_constructor_validation():
         QuantileCurve("a", np.array([0.1, 0.5, 0.5, 0.9]), np.ones(4))
     curve = QuantileCurve("ok", grid, np.array([1.0, 1.0, 2.0, 2.0]))
     assert curve.m == 4
-
-
-def test_time_in_range_examples():
-    obs = np.array([50.0, 60.0, 70.0])
-    assert time_in_range(obs, 70.0, 140.0) == pytest.approx(1.0 / 3.0)
-    assert time_in_range(np.full(12, 100.0), 70.0, 140.0) == 1.0
-    # Interval convention: lower edge in, upper edge out.
-    assert time_in_range(np.array([70.0, 140.0]), 70.0, 140.0) == 0.5
-    assert fraction_at_or_below(np.array([54.0, 55.0]), 54.0) == 0.5
-    assert fraction_at_or_above(np.array([179.0, 180.0, 181.0]), 180.0) == pytest.approx(2.0 / 3.0)
-
-
-def test_time_in_range_full_cover():
-    rng = np.random.default_rng(SEED + 3)
-    obs = np.clip(rng.normal(150.0, 80.0, 500), 40.0, 400.0)
-    assert time_in_range(obs, 40.0, 400.0 + 1e-9) == 1.0
-
-
-def test_density_positive_and_normalized():
-    rng = np.random.default_rng(SEED + 4)
-    obs = rng.uniform(80.0, 120.0, size=400)
-    curve = empirical_quantile(obs, default_grid(80))
-    x, density = density_plot_data(curve, bandwidth=5.0)
-    assert x[0] == 40.0 and x[-1] == 400.0
-    assert np.all(density >= 0.0)
-    total = np.trapezoid(density, x)
-    assert total == pytest.approx(1.0, abs=1e-3)
-
-
-def test_density_peak_location():
-    grid = default_grid(10)
-    curve = QuantileCurve("flat", grid, np.full(10, 100.0))
-    x, density = density_plot_data(curve, bandwidth=8.0)
-    assert x[int(np.argmax(density))] == pytest.approx(100.0, abs=1.0)
-
-
-def test_density_rejects_bad_bandwidth():
-    curve = QuantileCurve("c", default_grid(5), np.full(5, 90.0))
-    with pytest.raises(ValueError):
-        density_plot_data(curve, bandwidth=0.0)
 
 
 def test_curves_csv_roundtrip(tmp_path):

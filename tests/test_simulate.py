@@ -3,7 +3,7 @@ import pytest
 
 from conftest import run_study_oracle
 from funcutpoint.cutpoint import optimize
-from funcutpoint.normal import TruncNormalSpec
+from funcutpoint.normal import TruncNormalSpec, tn_quantile
 from funcutpoint.simulate import (
     BASE_SPREAD,
     DgpParams,
@@ -11,7 +11,6 @@ from funcutpoint.simulate import (
     generate_arrays,
     run_study,
     summarize_study,
-    tn_quantile,
     write_study_csv,
     write_summary_csv,
 )

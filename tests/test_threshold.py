@@ -7,6 +7,7 @@ from conftest import curve_above_threshold
 from funcutpoint.cutpoint import CRITERIA
 from funcutpoint.quantiles import QuantileCurve, default_grid
 from funcutpoint.threshold import (
+    MU_MODES,
     SIGMA_FLOOR,
     ThresholdFamily,
     classify,
@@ -15,6 +16,7 @@ from funcutpoint.threshold import (
     margin,
     margin_vector,
     read_cutoff_json,
+    standardise,
     write_cutoff_json,
 )
 
@@ -279,3 +281,64 @@ def test_cutoff_json_rejects_bad_c_hat_and_criterion(tmp_path, c_hat, criterion)
     with pytest.raises(ValueError) as exc:
         read_cutoff_json(path)
     assert str(exc.value) == message
+
+
+def standardise_reference(rows, labels, mode, group, with_sigma, k_split):
+    """mu and sigma of the estimation rows with np.mean, np.sort and
+    np.std, then the scored rows out of place as (rows - mu) / sigma."""
+    est = rows[:k_split] if k_split else rows
+    if with_sigma and len(est) < 2:
+        raise ValueError("sigma estimation needs at least two curves")
+    if mode == "pooled-mean":
+        mu = est.mean(axis=0)
+    elif mode == "group-mean":
+        if not np.any(labels[:len(est)] == group):
+            raise ValueError(f"no curves with label {group}")
+        mu = est[labels[:len(est)] == group].mean(axis=0)
+    else:
+        mu = np.sort(est, axis=0)[(len(est) - 1) // 2]
+    if with_sigma:
+        sigma = np.maximum(est.std(axis=0, ddof=1), SIGMA_FLOOR)
+    else:
+        sigma = np.ones_like(mu)
+    scored = (rows[k_split:] - mu) / sigma
+    return mu, sigma, scored, np.min(scored, axis=1)
+
+
+STANDARDISE_VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.75])
+                      | st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_standardise_matches_out_of_place_reference(data):
+    """The in-place kernel gives the reference's mu, sigma, scored rows and
+    margins bit for bit, in every mode, with and without sigma and a split.
+    Rows are drawn from a small pool, so tied rows are common."""
+    n = data.draw(st.integers(2, 8), label="n")
+    m = data.draw(st.integers(1, 5), label="m")
+    pool = data.draw(st.lists(st.lists(STANDARDISE_VALUES, min_size=m, max_size=m),
+                              min_size=1, max_size=n), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    rows = np.array([pool[i] for i in picks], dtype=float)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    mode = data.draw(st.sampled_from(MU_MODES), label="mode")
+    group = data.draw(st.integers(0, 1), label="group")
+    with_sigma = data.draw(st.booleans(), label="with_sigma")
+    k_split = data.draw(st.sampled_from([0, 1, n - 1]), label="k_split")
+
+    matrix = rows.copy()
+    try:
+        want = standardise_reference(rows, labels, mode, group, with_sigma, k_split)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            standardise(matrix, labels, mode, group, with_sigma, k_split)
+        assert str(got.value) == str(exc)
+        return
+    mu, sigma, margins = standardise(matrix, labels, mode, group, with_sigma, k_split)
+    want_mu, want_sigma, want_scored, want_margins = want
+    assert mu.tobytes() == want_mu.tobytes()
+    assert sigma.tobytes() == want_sigma.tobytes()
+    assert margins.tobytes() == want_margins.tobytes()
+    assert matrix[k_split:].tobytes() == want_scored.tobytes()
+    assert matrix[:k_split].tobytes() == rows[:k_split].tobytes()
