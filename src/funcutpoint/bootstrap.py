@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cutpoint import (candidates, optimize, pick, sorted_sweeps, validate_sample,
-                       zero_candidate)
+from .cutpoint import (_chunks, candidates, optimize, pick, rates, sorted_sweeps,
+                       validate_sample, zero_candidate)
 from .quantiles import curve_matrix
 from .threshold import ThresholdFamily, standardise
 
@@ -38,14 +38,6 @@ __all__ = [
 
 SWEEP_BAND_POINTS = 512
 METRIC_NAMES = ("sensitivity", "specificity", "youden", "auc")
-# Replicates are swept in chunks, as many at once as keep each per-replicate
-# array (draws, or candidate columns) within _CHUNK_ELEMENTS elements. On
-# bootstrap-cohort's two steps (n = 1000, 2-core Xeon, numpy 2.4), caps of
-# 2^12, 2^14, 2^16 and 2^18 took 0.29, 0.27, 0.27 and 0.29 s (scalar, B =
-# 2000) and 1.16, 1.09, 1.10 and 1.13 s (functional, B = 1000) in median
-# of 5, with the step's peak RSS at 60.9, 61.0, 61.7 and 65.3 MB (scalar)
-# and 53.4, 53.9, 55.2 and 71.0 MB (functional).
-_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -151,12 +143,6 @@ def _substream(seed: int, b: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
 
 
-def _chunks(B: int, width: int):
-    chunk = max(1, _CHUNK_ELEMENTS // width)
-    for start in range(0, B, chunk):
-        yield slice(start, min(start + chunk, B))
-
-
 def _row_aucs(sens, spec, present):
     """np.trapezoid(sens[r, kept][::-1], (1 - spec[r, kept])[::-1]) for
     every row r, where kept = present[r], with the same arithmetic.
@@ -190,17 +176,16 @@ def _evaluate(cols, span, n, below, case_lt, present, criterion, grid_below, gri
     quotient as sweep's.
     """
     n_case = case_lt[:, -1:]
-    n_ctrl = n - n_case
-    sens = (n_case - case_lt) / n_case
-    spec = (below - case_lt) / n_ctrl
+    sens, spec = rates(case_lt, below, n_case, n)
     i = pick(sens, spec, criterion, present)
     rows = np.arange(i.size)
     cols["sensitivity"][span] = sens[rows, i]
     cols["specificity"][span] = spec[rows, i]
     cols["youden"][span] = sens[rows, i] + spec[rows, i] - 1.0
     cols["auc"][span] = _row_aucs(sens, spec, present)
-    cols["sens"][:, span] = ((n_case - grid_case) / n_case).T
-    cols["spec"][:, span] = ((grid_below - grid_case) / n_ctrl).T
+    grid_sens, grid_spec = rates(grid_case, grid_below, n_case, n)
+    cols["sens"][:, span] = grid_sens.T
+    cols["spec"][:, span] = grid_spec.T
     return i
 
 

@@ -38,6 +38,7 @@ from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
 from .ingest import GAP_MODES, ingest_cohort, parse_labels, write_report_json
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
+    csv_rows,
     curve_matrix,
     default_grid,
     empirical_quantile,
@@ -146,31 +147,30 @@ def _read_scores(scores_path, column: str, labels_path):
     ids = []
     values = []
     seen = set()
-    with open(scores_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "subject_id":
-            raise ValueError(f"{scores_path}: first column must be subject_id")
-        names = [h.strip() for h in header]
-        if column not in names:
-            raise ValueError(f"{scores_path}: no column named {column!r}")
-        col = names.index(column)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise ValueError(f"{scores_path} line {line_no}: wrong column count")
-            sid = row[0].strip()
-            if sid in seen:
-                raise ValueError(f"{scores_path} line {line_no}: duplicate subject_id {sid!r}")
-            seen.add(sid)
-            ids.append(sid)
-            try:
-                values.append(float(row[col]))
-            except ValueError:
-                raise ValueError(
-                    f"{scores_path} line {line_no}: non-numeric score {row[col]!r}"
-                ) from None
-            if not np.isfinite(values[-1]):
-                raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
+    reader = csv_rows(scores_path, str(scores_path))
+    header = next(reader, None)
+    if header is None or header[0].strip() != "subject_id":
+        raise ValueError(f"{scores_path}: first column must be subject_id")
+    names = [h.strip() for h in header]
+    if column not in names:
+        raise ValueError(f"{scores_path}: no column named {column!r}")
+    col = names.index(column)
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(names):
+            raise ValueError(f"{scores_path} line {line_no}: wrong column count")
+        sid = row[0].strip()
+        if sid in seen:
+            raise ValueError(f"{scores_path} line {line_no}: duplicate subject_id {sid!r}")
+        seen.add(sid)
+        ids.append(sid)
+        try:
+            values.append(float(row[col]))
+        except ValueError:
+            raise ValueError(
+                f"{scores_path} line {line_no}: non-numeric score {row[col]!r}"
+            ) from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
     if not ids:
         raise ValueError(f"{scores_path}: no data rows")
     return ids, np.asarray(values), _label_array(ids, labels_path)

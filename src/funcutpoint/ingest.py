@@ -8,7 +8,6 @@ is attributed in the ingest report; nothing is lost silently.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,13 +16,14 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .quantiles import csv_rows
+
 __all__ = [
     "SubjectSeries",
     "parse_series",
     "parse_labels",
     "filter_days",
     "ingest_cohort",
-    "write_series_csv",
     "write_report_json",
 ]
 
@@ -248,30 +248,29 @@ def _parse_series_rows(path, nominal_interval_minutes: float):
     """The per-row parser: the reference for every form and error message."""
     groups: dict[str, list[tuple[int, float]]] = {}
     clamped: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["subject_id", "timestamp", "glucose"]:
-            raise ValueError(f"{path}: expected header subject_id,timestamp,glucose")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise ValueError(f"{path} line {line_no}: empty subject_id")
-            t = _parse_timestamp(row[1], path, line_no)
-            try:
-                g = float(row[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path} line {line_no}: non-numeric glucose {row[2]!r}"
-                ) from None
-            if not np.isfinite(g):
-                raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
-            if g < GLUCOSE_LO or g > GLUCOSE_HI:
-                clamped[sid] = clamped.get(sid, 0) + 1
-                g = min(max(g, GLUCOSE_LO), GLUCOSE_HI)
-            groups.setdefault(sid, []).append((t, g))
+    reader = csv_rows(path, str(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["subject_id", "timestamp", "glucose"]:
+        raise ValueError(f"{path}: expected header subject_id,timestamp,glucose")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != 3:
+            raise ValueError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
+        sid = row[0].strip()
+        if not sid:
+            raise ValueError(f"{path} line {line_no}: empty subject_id")
+        t = _parse_timestamp(row[1], path, line_no)
+        try:
+            g = float(row[2])
+        except ValueError:
+            raise ValueError(
+                f"{path} line {line_no}: non-numeric glucose {row[2]!r}"
+            ) from None
+        if not np.isfinite(g):
+            raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
+        if g < GLUCOSE_LO or g > GLUCOSE_HI:
+            clamped[sid] = clamped.get(sid, 0) + 1
+            g = min(max(g, GLUCOSE_LO), GLUCOSE_HI)
+        groups.setdefault(sid, []).append((t, g))
 
     series = []
     stats = {}
@@ -338,21 +337,20 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
 
 def parse_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["subject_id", "label"]:
-            raise ValueError(f"{path}: expected header subject_id,label")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ValueError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
-            sid = row[0].strip()
-            raw = row[1].strip()
-            if raw not in ("0", "1"):
-                raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
-            if sid in labels:
-                raise ValueError(f"{path} line {line_no}: duplicate label for {sid!r}")
-            labels[sid] = int(raw)
+    reader = csv_rows(path, str(path))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["subject_id", "label"]:
+        raise ValueError(f"{path}: expected header subject_id,label")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise ValueError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
+        sid = row[0].strip()
+        raw = row[1].strip()
+        if raw not in ("0", "1"):
+            raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
+        if sid in labels:
+            raise ValueError(f"{path} line {line_no}: duplicate label for {sid!r}")
+        labels[sid] = int(raw)
     if not labels:
         raise ValueError(f"{path}: no label rows")
     return labels
@@ -478,18 +476,6 @@ def ingest_cohort(
         },
     }
     return kept, labels, report
-
-
-def write_series_csv(path, series_list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "timestamp", "glucose"])
-        for s in series_list:
-            for t, v in zip(s.times, s.values):
-                iso = datetime.fromtimestamp(int(t), tz=timezone.utc).strftime(
-                    "%Y-%m-%dT%H:%M:%SZ"
-                )
-                writer.writerow([s.subject_id, iso, repr(float(v))])
 
 
 def write_report_json(path, report) -> None:

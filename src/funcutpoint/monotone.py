@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SmoothConfig", "pava", "moving_average", "monotone_smooth",
-           "write_curve_values_csv", "read_curve_values_csv"]
+           "write_curve_values_csv"]
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,3 @@ def write_curve_values_csv(path, rho, values) -> None:
         for r, v in zip(rho, values):
             writer.writerow([repr(float(r)), repr(float(v))])
 
-
-def read_curve_values_csv(path):
-    rho = []
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["rho", "value"]:
-            raise ValueError(f"{path}: expected header rho,value")
-        for row in reader:
-            rho.append(float(row[0]))
-            values.append(float(row[1]))
-    return np.asarray(rho), np.asarray(values)

@@ -113,10 +113,58 @@ def load_json_object(path, kind: str, keys) -> dict:
     return payload
 
 
+def csv_rows(path, name: str):
+    """The rows of a CSV file, read lazily. A malformed record (csv.Error,
+    such as a field over the csv module's size limit) fails with a
+    ValueError naming `name`, the file as messages call it, and the line;
+    bytes that are not UTF-8 fail naming it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"{name} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name}: not UTF-8 text ({exc.reason})") from None
+
+
+def _is_number(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_number(payload: dict, key: str, path, kind: str) -> float:
+    """payload[key], a JSON number, as a float; any other value fails with
+    a ValueError naming the file and the key."""
+    value = payload[key]
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{kind} file {path}: {key} must be a number")
+
+
+def json_numbers(payload: dict, key: str, path, kind: str) -> np.ndarray:
+    """payload[key], a JSON list of numbers, as a float array; any other
+    value fails with a ValueError naming the file and the key."""
+    value = payload[key]
+    if isinstance(value, list) and all(_is_number(v) for v in value):
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{kind} file {path}: {key} must be a list of numbers")
+
+
 def read_grid_json(path) -> np.ndarray:
     payload = load_json_object(path, "grid", ["points"])
-    grid = check_grid(payload["points"])
-    if "m" in payload and int(payload["m"]) != grid.size:
+    points = json_numbers(payload, "points", path, "grid")
+    try:
+        grid = check_grid(points)
+    except ValueError as exc:
+        raise ValueError(f"grid file {path}: {exc}") from None
+    if "m" in payload and json_number(payload, "m", path, "grid") != grid.size:
         raise ValueError(f"grid file {path}: m does not match point count")
     return grid
 
@@ -149,29 +197,28 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
     expected = ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)]
     curves = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"curves file {path}: header does not match grid")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise ValueError(f"curves file {path} line {line_no}: wrong column count")
-            if row[0] in seen:
-                raise ValueError(
-                    f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"
-                )
-            seen.add(row[0])
-            try:
-                values = np.array([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValueError(
-                    f"curves file {path} line {line_no}: non-numeric value"
-                ) from exc
-            try:
-                curves.append(QuantileCurve(row[0], grid, values))
-            except ValueError as exc:
-                raise ValueError(f"curves file {path} line {line_no}: {exc}") from None
+    reader = csv_rows(path, f"curves file {path}")
+    header = next(reader, None)
+    if header != expected:
+        raise ValueError(f"curves file {path}: header does not match grid")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(expected):
+            raise ValueError(f"curves file {path} line {line_no}: wrong column count")
+        if row[0] in seen:
+            raise ValueError(
+                f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"
+            )
+        seen.add(row[0])
+        try:
+            values = np.array([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise ValueError(
+                f"curves file {path} line {line_no}: non-numeric value"
+            ) from exc
+        try:
+            curves.append(QuantileCurve(row[0], grid, values))
+        except ValueError as exc:
+            raise ValueError(f"curves file {path} line {line_no}: {exc}") from None
     if not curves:
         raise ValueError(f"curves file {path}: no data rows")
     return curves

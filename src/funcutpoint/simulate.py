@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutpoint import CRITERIA, sweep
+from .cutpoint import CRITERIA, _chunks, pick, rates, sorted_sweeps
 from .normal import TruncNormalSpec, tn_quantile
 from .quantiles import QuantileCurve, check_grid, default_grid
 from .threshold import standardise
@@ -63,8 +63,9 @@ class DgpParams:
     u2_mode: str = "literal"
     tn: TruncNormalSpec = field(default_factory=TruncNormalSpec)
     # tn_quantile(tn, grid), the spread shape every cohort of these
-    # parameters shares.
+    # parameters shares, and whether it is finite and nondecreasing.
     q0: np.ndarray = field(init=False, repr=False, compare=False)
+    q0_sorted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.a < np.inf and 0.0 <= self.b < np.inf):
@@ -79,7 +80,13 @@ class DgpParams:
             raise ValueError(f"unknown u2 mode: {self.u2_mode!r}")
         grid = default_grid() if self.grid is None else check_grid(self.grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "q0", tn_quantile(self.tn, grid))
+        q0 = tn_quantile(self.tn, grid)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q0_sorted", _sorted_finite(q0))
+
+
+def _sorted_finite(q0: np.ndarray) -> bool:
+    return bool(np.isfinite(q0).all() and not (q0[1:] < q0[:-1]).any())
 
 
 def generate_arrays(params: DgpParams, rng: np.random.Generator):
@@ -95,23 +102,36 @@ def generate_arrays(params: DgpParams, rng: np.random.Generator):
     u2 = 2.0 * draws[:, 2] - 1.0
     u3 = 0.8 + 0.4 * draws[:, 3]
 
-    q0 = params.q0
     zf = z.astype(float)
     if params.spread_mode == "literal":
         coef = (BASE_SPREAD + params.b) * zf * u3
     else:
         coef = BASE_SPREAD + params.b * zf * u3
 
-    base = params.a * zf + u1
+    return _curves(params, coef, params.a * zf + u1, u2 * params.v), z
+
+
+def _curves(params, coef, base, u2v):
+    """The n x m curve matrix base + u2v + coef*q0, with u2v times rho in
+    rho-scaled-u2 mode, rejected unless every row is nondecreasing.
+
+    In literal-u2 mode row i is fl(coef[i]*q0[k]) + (base[i] + u2v[i]).
+    Rounding is monotone, so when coef >= 0 and q0 is finite and
+    nondecreasing that row is nondecreasing in k, and the O(n*m) scan
+    cannot fire: it runs only when that certificate fails.
+    """
+    q0 = params.q0
     if params.u2_mode == "literal":
-        base = base + u2 * params.v
+        base = base + u2v
         # coef*q0 + base in place: the same sums as base + coef*q0.
         matrix = np.multiply.outer(coef, q0)
         matrix += base[:, None]
+        if params.q0_sorted and coef.min() >= 0.0:
+            return matrix
     else:
         matrix = (
             base[:, None]
-            + (u2 * params.v)[:, None] * params.grid[None, :]
+            + u2v[:, None] * params.grid[None, :]
             + coef[:, None] * q0[None, :]
         )
     if np.any(matrix[:, 1:] < matrix[:, :-1]):
@@ -119,7 +139,7 @@ def generate_arrays(params: DgpParams, rng: np.random.Generator):
             "generated curves are not monotone (literal spread with "
             "rho-scaled u2 can produce decreasing control curves)"
         )
-    return matrix, z
+    return matrix
 
 
 def generate(params: DgpParams, rng: np.random.Generator | None = None):
@@ -137,24 +157,24 @@ def generate(params: DgpParams, rng: np.random.Generator | None = None):
     return curves, labels
 
 
-def _replicate(cell_index, r, params, seed, criteria):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell_index, r)))
-    matrix, z = generate_arrays(params, rng)
-    regenerated = 0
-    while z.min() == z.max():
-        regenerated += 1
-        if regenerated > _MAX_REGENERATIONS:
-            raise RuntimeError("could not draw a cohort with both classes")
-        matrix, z = generate_arrays(params, rng)
-    _, _, margins = standardise(matrix, z)
-    # One sweep serves every criterion: it is what optimize(margins, z, c)
-    # scans, so each pick equals that call's sensitivity and specificity.
-    cohort = sweep(margins, z)
-    results = []
+def _optima(margins, labels, criteria):
+    """Per criterion, (criterion, sensitivities, specificities) of each row's
+    cohort at optimize's optimum.
+
+    One sweep of each cohort serves every criterion: the rates at its
+    candidates are what optimize(margins[r], labels[r], c) scans, so each
+    pick equals that call's sensitivity and specificity. The sweep's arrays
+    die on return, before the next chunk's cohorts are drawn.
+    """
+    size, n = margins.shape
+    case_lt, present = sorted_sweeps(margins, labels)[1:]
+    sens, spec = rates(case_lt, np.arange(n + 1), case_lt[:, -1:], n)
+    each = np.arange(size)
+    optima = []
     for criterion in criteria:
-        i = cohort.pick(criterion)
-        results.append((criterion, float(cohort.sens[i]), float(cohort.spec[i])))
-    return results, regenerated
+        i = pick(sens, spec, criterion, present)
+        optima.append((criterion, sens[each, i].tolist(), spec[each, i].tolist()))
+    return optima
 
 
 def run_study(
@@ -175,9 +195,11 @@ def run_study(
     (seed, cell_index, r), fits the pooled-mean margin cut-point under
     every criterion on that same cohort, and records in-sample
     sensitivity and specificity. Single-class cohorts are regenerated
-    from the same substream and counted. Replicates run one after
-    another: `threads` is accepted for compatibility and affects neither
-    the results nor their order.
+    from the same substream and counted. Replicates are drawn one by one,
+    in order, from their substreams; their margins are then sorted and
+    swept in chunks (cutpoint.sorted_sweeps), each rate the same quotient
+    optimize gives. The work is serial: `threads` is accepted for
+    compatibility and affects neither the results nor their order.
     """
     cells = [(float(a), float(b), int(n)) for a, b, n in cells]
     if not cells:
@@ -195,17 +217,39 @@ def run_study(
     for ci, (a, b, n) in enumerate(cells):
         params = DgpParams(a=a, b=b, n=n, v=v, grid=grid,
                            spread_mode=spread_mode, u2_mode=u2_mode, tn=tn)
-        for r in range(R):
-            results, regen = _replicate(ci, r, params, seed, criteria)
-            regenerated += regen
-            for criterion, sens, spec in results:
-                rows.append({
-                    "a": a, "b": b, "n": n,
-                    "criterion": criterion,
-                    "replicate": r,
-                    "sensitivity": sens,
-                    "specificity": spec,
-                })
+        for span in _chunks(R, n + 1):
+            size = span.stop - span.start
+            margins = np.empty((size, n))
+            # Labels are 0 or 1, so a byte holds each; sorted_sweeps counts
+            # them in int64.
+            labels = np.empty((size, n), dtype=np.int8)
+            for row, r in enumerate(range(span.start, span.stop)):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(ci, r)))
+                matrix, z = generate_arrays(params, rng)
+                regen = 0
+                while z.min() == z.max():
+                    regen += 1
+                    if regen > _MAX_REGENERATIONS:
+                        raise RuntimeError("could not draw a cohort with both classes")
+                    matrix, z = generate_arrays(params, rng)
+                regenerated += regen
+                labels[row] = z
+                margins[row] = standardise(matrix, z)[2]
+                # Else the next cohort's n x m matrix is built beside it.
+                del matrix
+            if not np.isfinite(margins).all():
+                raise ValueError("scores must be finite")
+            optima = _optima(margins, labels, criteria)
+            for row, r in enumerate(range(span.start, span.stop)):
+                for criterion, sens_at, spec_at in optima:
+                    rows.append({
+                        "a": a, "b": b, "n": n,
+                        "criterion": criterion,
+                        "replicate": r,
+                        "sensitivity": sens_at[row],
+                        "specificity": spec_at[row],
+                    })
     return rows, {"regenerated": regenerated}
 
 

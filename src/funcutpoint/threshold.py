@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .cutpoint import CRITERIA
-from .quantiles import QuantileCurve, check_grid, curve_matrix, load_json_object
+from .quantiles import (QuantileCurve, check_grid, curve_matrix, json_number, json_numbers,
+                        load_json_object)
 
 __all__ = [
     "ThresholdFamily",
@@ -183,15 +184,17 @@ def write_cutoff_json(
 
 def read_cutoff_json(path):
     payload = load_json_object(path, "cutoff", ["grid", "mu", "sigma", "c_hat", "criterion"])
-    family = ThresholdFamily(
-        np.asarray(payload["grid"], dtype=float),
-        np.asarray(payload["mu"], dtype=float),
-        np.asarray(payload["sigma"], dtype=float),
-    )
-    smoothed = payload.get("smoothed_curve")
-    if smoothed is not None:
-        smoothed = np.asarray(smoothed, dtype=float)
-    c_hat, criterion = float(payload["c_hat"]), str(payload["criterion"])
+    grid, mu, sigma = (json_numbers(payload, key, path, "cutoff")
+                       for key in ("grid", "mu", "sigma"))
+    try:
+        family = ThresholdFamily(grid, mu, sigma)
+    except ValueError as exc:
+        raise ValueError(f"cutoff file {path}: {exc}") from None
+    smoothed = None
+    if payload.get("smoothed_curve") is not None:
+        smoothed = json_numbers(payload, "smoothed_curve", path, "cutoff")
+    c_hat = json_number(payload, "c_hat", path, "cutoff")
+    criterion = str(payload["criterion"])
     if not np.isfinite(c_hat):
         raise ValueError(f"cutoff file {path}: c_hat must be finite, got {c_hat!r}")
     if criterion not in CRITERIA:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bootstrap_cutpoint_oracle, bootstrap_scalar_oracle
-from funcutpoint import bootstrap
+from funcutpoint import cutpoint
 from funcutpoint.bootstrap import (
     BootstrapConfig,
     _percentile_ci,
@@ -150,10 +150,10 @@ def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, cap, see
     resample in every c_hat, metric interval, band and redraw count, for
     every criterion and chunk size: an element cap of 1 counts one replicate
     at a time, 40 and 100 count chunks of 1 to 50 (B is rarely a multiple
-    of them), and the default counts all of them at once."""
+    of them), and 2**16 counts all of them at once."""
     scores, labels = sample
-    old = bootstrap._CHUNK_ELEMENTS
-    bootstrap._CHUNK_ELEMENTS = cap
+    old = cutpoint._CHUNK_ELEMENTS
+    cutpoint._CHUNK_ELEMENTS = cap
     try:
         for criterion in CRITERIA:
             cfg = BootstrapConfig(B=B, seed=seed)
@@ -172,7 +172,7 @@ def test_batched_scalar_bootstrap_matches_oracle_bit_for_bit(sample, B, cap, see
             assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
             assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
     finally:
-        bootstrap._CHUNK_ELEMENTS = old
+        cutpoint._CHUNK_ELEMENTS = old
 
 
 def test_ci_brackets_the_resampling_distribution():
@@ -289,7 +289,7 @@ def test_functional_bootstrap_chunks_match_oracle(cap, monkeypatch):
     """Chunks of 1 replicate, and of 7 and 13 (287 elements over 41 and 21
     candidate columns; B = 25 is a multiple of neither) sweep every
     replicate as the per-replicate oracle does."""
-    monkeypatch.setattr(bootstrap, "_CHUNK_ELEMENTS", cap)
+    monkeypatch.setattr(cutpoint, "_CHUNK_ELEMENTS", cap)
     curves, labels = generate(DgpParams(a=1.0, b=1.0, n=40, seed=21))
     for kwargs in ({"with_sigma": True},
                    {"mu_mode": "pointwise-median", "split_fraction": 0.5}):

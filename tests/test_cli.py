@@ -510,6 +510,12 @@ def test_classify_rejects_bad_cutoff(ingested, tmp_path, capsys, field, value, m
     (b'{"points": [0.5]', "invalid JSON: Expecting ',' delimiter: line 1 column 17 (char 16)"),
     (b"\xff{}", "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
                 "invalid start byte"),
+    (b'{"points": "abc"}', "points must be a list of numbers"),
+    (b'{"points": [0.5, "abc"]}', "points must be a list of numbers"),
+    (b'{"points": [0.5], "m": [1]}', "m must be a number"),
+    (b'{"points": [0.5], "m": 1' + b"0" * 400 + b"}", "m must be a number"),
+    (b'{"points": [1' + b"0" * 400 + b"]}", "points must be a list of numbers"),
+    (b'{"points": [0.5, 0.25]}', "probability grid must be strictly increasing"),
 ])
 def test_bad_grid_file_is_named(ingested, tmp_path, capsys, data, message):
     curves_dir, labels = ingested
@@ -527,6 +533,14 @@ def test_bad_grid_file_is_named(ingested, tmp_path, capsys, data, message):
      "missing key 'mu'"),
     (b'{"grid": [0.5], ', "invalid JSON: Expecting property name enclosed in double "
                          "quotes: line 1 column 17 (char 16)"),
+    (b'{"grid": [0.5], "mu": [1.0], "sigma": [1.0], "c_hat": [0.0], "criterion": "youden"}',
+     "c_hat must be a number"),
+    (b'{"grid": [0.5], "mu": [1.0], "sigma": [1.0], "c_hat": true, "criterion": "youden"}',
+     "c_hat must be a number"),
+    (b'{"grid": [0.5], "mu": "abc", "sigma": [1.0], "c_hat": 0.0, "criterion": "youden"}',
+     "mu must be a list of numbers"),
+    (b'{"grid": [0.5], "mu": [1.0, 2.0], "sigma": [1.0], "c_hat": 0.0, '
+     b'"criterion": "youden"}', "mu and sigma must match the grid length"),
 ])
 def test_bad_cutoff_file_is_named(ingested, tmp_path, capsys, data, message):
     curves_dir, _ = ingested
@@ -537,6 +551,44 @@ def test_bad_cutoff_file_is_named(ingested, tmp_path, capsys, data, message):
                "--grid", str(curves_dir / "grid.json"), "--out", str(tmp_path / "cls")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: cutoff file {cutoff}: {message}\n"
+
+
+def corrupt_line_3(path, tmp_path, defect):
+    """A copy of `path` whose line 3 starts with a 140,000-character field
+    or with a byte that is not UTF-8."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = (b"x" * 140_000 if defect == "field" else b"\xff") + lines[2]
+    bad = tmp_path / f"bad_{path.name}"
+    bad.write_bytes(b"".join(lines))
+    return bad
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("field", "{name} line 3: field larger than field limit (131072)"),
+    ("byte", "{name}: not UTF-8 text (invalid start byte)"),
+])
+@pytest.mark.parametrize("kind", ["series", "labels", "curves", "scores"])
+def test_malformed_csv_inputs_name_the_file(cohort_files, ingested, scores_files, tmp_path,
+                                            capsys, kind, defect, message):
+    series, cohort_labels = cohort_files
+    curves_dir, labels = ingested
+    curves = curves_dir / "curves.csv"
+    scores, score_labels = scores_files
+    if kind == "series":
+        bad = corrupt_line_3(series, tmp_path, defect)
+        argv = ["ingest", "--series", str(bad), "--labels", str(cohort_labels)]
+    elif kind == "scores":
+        bad = corrupt_line_3(scores, tmp_path, defect)
+        argv = ["fit", "--scores", str(bad), "--labels", str(score_labels)]
+    else:
+        bad = corrupt_line_3(curves if kind == "curves" else labels, tmp_path, defect)
+        argv = ["fit", "--curves", str(bad if kind == "curves" else curves),
+                "--grid", str(curves_dir / "grid.json"),
+                "--labels", str(bad if kind == "labels" else labels)]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    name = f"curves file {bad}" if kind == "curves" else str(bad)
+    assert capsys.readouterr().err == f"error: {message.format(name=name)}\n"
 
 
 @pytest.mark.parametrize("flag, value", [

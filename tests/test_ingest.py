@@ -20,7 +20,6 @@ from funcutpoint.ingest import (
     ingest_cohort,
     parse_labels,
     parse_series,
-    write_series_csv,
 )
 
 SEED = 20240815
@@ -280,17 +279,6 @@ def test_ingest_without_labels(tmp_path):
     assert labels == {}
     assert report["missing_subjects"] == []
     assert {s.subject_id for s in kept} == {"s_good", "s_short"}
-
-
-def test_write_series_roundtrip(tmp_path):
-    rng = np.random.default_rng(SEED + 4)
-    offs = day_offsets(step=15)
-    s = make_series("s1", offs, rng.uniform(60, 200, len(offs)))
-    path = tmp_path / "out.csv"
-    write_series_csv(path, [s])
-    back, _ = parse_series(path, nominal_interval_minutes=15.0)
-    np.testing.assert_array_equal(back[0].times, s.times)
-    np.testing.assert_array_equal(back[0].values, s.values)
 
 
 # --- Columnar fast path against the per-row oracle --------------------------

@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_study_oracle
+from funcutpoint import cutpoint, simulate
 from funcutpoint.cutpoint import optimize
 from funcutpoint.normal import TruncNormalSpec, tn_quantile
 from funcutpoint.simulate import (
@@ -114,6 +119,46 @@ def out_of_place_arrays(params, rng):
     if np.any(np.diff(matrix, axis=1) < 0.0):
         raise ValueError("not monotone")
     return matrix, z
+
+
+def test_params_certify_their_spread_shape():
+    assert DgpParams(a=0.0, b=0.0, n=10).q0_sorted
+    for q0, want in [([0.0, 0.0, 1.0], True), ([-0.0, 0.0], True), ([1.0, 0.5], False),
+                     ([0.0, np.inf], False), ([np.nan, 1.0], False)]:
+        assert simulate._sorted_finite(np.array(q0)) is want
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 5), st.sampled_from(simulate.U2_MODES),
+       st.data())
+def test_monotone_certificate_raises_exactly_where_the_scan_does(n, m, u2_mode, data):
+    """With the certificate (coef >= 0 and a finite, nondecreasing q0) the
+    literal-u2 build skips the O(n*m) scan; it must raise on exactly the
+    inputs where the scan over the same matrix finds a decrease, and
+    otherwise return that matrix."""
+    floats = st.floats(-1e3, 1e3) | SPECIAL
+    vec = lambda k, elems=floats: st.lists(elems, min_size=k, max_size=k).map(np.array)
+    q0 = data.draw(st.one_of(vec(m), vec(m).map(np.sort),
+                             vec(m, st.floats(allow_nan=True)).map(np.sort)))
+    coef, base, u2v = data.draw(vec(n)), data.draw(vec(n)), data.draw(vec(n))
+    grid = np.linspace(0.1, 1.0, m)
+    params = SimpleNamespace(u2_mode=u2_mode, grid=grid, q0=q0,
+                             q0_sorted=simulate._sorted_finite(q0))
+    with np.errstate(all="ignore"):
+        if u2_mode == "literal":
+            want = np.multiply.outer(coef, q0) + (base + u2v)[:, None]
+        else:
+            want = (base[:, None] + u2v[:, None] * grid[None, :]
+                    + coef[:, None] * q0[None, :])
+        if np.any(want[:, 1:] < want[:, :-1]):
+            with pytest.raises(ValueError, match="not monotone"):
+                simulate._curves(params, coef, base, u2v)
+        else:
+            got = simulate._curves(params, coef, base, u2v)
+            assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
 
 
 @pytest.mark.parametrize("u2_mode", ["literal", "rho-scaled"])
@@ -238,6 +283,26 @@ def test_run_study_matches_per_replicate_oracle(spread_mode, u2_mode):
     assert meta == want_meta
     assert meta["regenerated"] > 0
     assert rows == want_rows
+
+
+@pytest.mark.parametrize("cap", [1, 217, 2**30])
+def test_run_study_chunks_match_oracle(cap, monkeypatch):
+    """Chunks of 1 replicate; of 7 and 3 (217 elements over 31 and 58
+    candidate columns; R = 12 is a multiple of neither); and of all R
+    replicates give the oracle's rows bit for bit, regeneration count
+    included."""
+    monkeypatch.setattr(cutpoint, "_CHUNK_ELEMENTS", cap)
+    cells = [(0.0, 0.0, 2), (2.0, 0.0, 30), (0.5, 2.0, 57), (0.0, 1.0, 4)]
+    rows, meta = run_study(cells, R=12, seed=17)
+    want_rows, want_meta = run_study_oracle(cells, R=12, seed=17)
+    assert meta == want_meta
+    assert meta["regenerated"] > 0
+
+    def bits(rows):
+        return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+                for row in rows]
+
+    assert bits(rows) == bits(want_rows)
 
 
 def test_run_study_regenerates_single_class_cohorts():
