@@ -278,17 +278,15 @@ def bootstrap_cutpoint(
                       curve_grid=family.grid)
 
 
-def _count_sweeps(idx, code, K):
+def _count_sweeps(counts):
     """Counts of a chunk of resamples of a sorted sample, for _evaluate.
 
-    idx holds one resample per row; code[i] is 2k + label of subject i,
-    whose score is the k-th of the K distinct values. Column k < K is the
+    counts[r, k, y] is the number of draws of resample r whose score is the
+    k-th of the K distinct values and whose label is y. Column k < K is the
     threshold at the k-th distinct value and column K the sentinel; present
     marks the values drawn, plus the sentinel.
     """
-    rows, n = idx.shape
-    counts = np.bincount((code[idx] + 2 * K * np.arange(rows)[:, None]).ravel(),
-                         minlength=rows * 2 * K).reshape(rows, K, 2)
+    rows, K, _ = counts.shape
     below = np.zeros((rows, K + 1), dtype=np.int64)
     np.cumsum(counts.sum(axis=2), axis=1, out=below[:, 1:])
     case_lt = np.zeros((rows, K + 1), dtype=np.int64)
@@ -342,12 +340,19 @@ def bootstrap_scalar(
         return lab.min() != lab.max()
 
     cols = _columns(cfg.B)
-    for span in _chunks(cfg.B, max(n, K + 1)):
-        idx = np.empty((span.stop - span.start, n), dtype=np.intp)
+    for span in _chunks(cfg.B, K + 1):
+        # Each replicate's draws are counted as they are drawn, so a chunk
+        # holds K + 1 candidate columns per replicate, not n draws; the
+        # draws themselves are kept only where a zero candidate needs them.
+        counts = np.empty((span.stop - span.start, K, 2), dtype=np.int64)
+        kept = []
         for r, b in enumerate(range(span.start, span.stop)):
-            idx[r], cols["fails"][b] = _draw_indices(
+            idx, cols["fails"][b] = _draw_indices(
                 _substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
-        below, case_lt, present = _count_sweeps(idx, code, K)
+            counts[r] = np.bincount(code[idx], minlength=2 * K).reshape(K, 2)
+            if mixed_zeros:
+                kept.append(idx)
+        below, case_lt, present = _count_sweeps(counts)
         i = _evaluate(cols, span, n, below, case_lt, present, criterion,
                       below[:, grid_cols], case_lt[:, grid_cols])
         c_hat = distinct[np.minimum(i, K - 1)]
@@ -357,7 +362,7 @@ def bootstrap_scalar(
         c_hat[sentinel] = distinct[top] + 1.0
         if mixed_zeros:
             for r in np.flatnonzero(i == zero):
-                drawn = scores[idx[r]]
+                drawn = scores[kept[r]]
                 c_hat[r] = zero_candidate(drawn[drawn == 0.0], drawn)
         cols["c_hat"][span] = c_hat
 
