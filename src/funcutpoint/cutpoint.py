@@ -40,15 +40,16 @@ __all__ = [
 
 CRITERIA = ("youden", "max_sensitivity", "max_specificity")
 # Batched callers (both bootstraps and the replicate study) sweep their
-# replicates in chunks, as many at once as keep each per-replicate array
-# (draws, margins or candidate columns) within _CHUNK_ELEMENTS elements.
+# replicates in chunks, as many at once as keep each replicate's candidate
+# columns (the width of its sweep) within _CHUNK_ELEMENTS elements.
 # Caps of 2^12, 2^13, 2^14 and 2^16 on the benchmark's steps (2-core Xeon,
-# numpy 2.4; times in-process, median of 5 to 9 interleaved calls; peak RSS
-# of the CLI step, median of 3 to 38 runs):
+# numpy 2.4; times in-process, median of 5 to 9 calls interleaved across
+# the caps, one session per row; peak RSS of the CLI step, median of 3 or
+# more runs):
 #   functional bootstrap (n = 1000, B = 1000): 0.93, 0.89, 0.88, 0.86 s;
 #     53.5, 53.4, 53.9, 54.8 MB
-#   scalar bootstrap (n = 1000, B = 2000): 0.26, 0.22, 0.20, 0.18 s;
-#     60.8, 60.8, 60.9, 61.9 MB
+#   scalar bootstrap (n = 1000, K = 79, B = 2000): 0.18, 0.18, 0.18, 0.20 s;
+#     60.8, 61.0, 61.4, 71.7 MB
 #   study (8 cells, n = 100 and 1000, R = 200): 0.71, 0.71, 0.68, 0.68 s;
 #     39.6, 39.5, 39.7, 41.7 MB
 # 2^13 is the largest cap that keeps the study's peak at that of one cohort
