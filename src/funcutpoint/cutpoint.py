@@ -229,10 +229,6 @@ class Sweep(NamedTuple):
         rate, as roc_points gives it."""
         return (1.0 - self.spec)[::-1], self.sens[::-1]
 
-    def pick(self, criterion: str) -> int:
-        """Index into the sweep of optimize's c_hat for the criterion."""
-        return int(pick(self.sens, self.spec, criterion))
-
     def result(self, criterion: str) -> CutpointResult:
         """optimize's unrestricted result."""
         return _result(criterion, self.cs, self.sens, self.spec, *self.roc())
