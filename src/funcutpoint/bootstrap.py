@@ -13,17 +13,14 @@ arguments are kept for compatibility and do not change the work.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .cutpoint import (_chunks, candidates, optimize, pick, rates, sorted_sweeps,
                        validate_sample, zero_candidate)
-from .quantiles import curve_matrix
+from .quantiles import curve_matrix, write_csv, write_json
 from .threshold import ThresholdFamily, standardise
 
 __all__ = [
@@ -169,11 +166,11 @@ def _evaluate(cols, span, n, below, case_lt, present, criterion, grid_below, gri
     """Record a chunk of exact sweeps; returns each row's optimal column.
 
     Row r is one resample of n draws; column k holds the integer counts
-    cutpoint.sweep divides at one threshold: below[r, k] draws and
+    optimize divides at one threshold: below[r, k] draws and
     case_lt[r, k] case draws lie under it, and the last column, above every
     draw, is the sentinel. present marks the candidates, grid_below and
     grid_case the counts at the reference grid. Every rate is the same
-    quotient as sweep's.
+    quotient as optimize's.
     """
     n_case = case_lt[:, -1:]
     sens, spec = rates(case_lt, below, n_case, n)
@@ -308,7 +305,7 @@ def bootstrap_scalar(
     The sample is sorted once into its K distinct values. Replicate b is
     its draw counts per distinct value, for all draws and for cases, so
     cumulative counts give the integer counts below each candidate that
-    cutpoint.sweep divides: every rate, c_hat and band row is the same
+    optimize divides: every rate, c_hat and band row is the same
     quotient, bit for bit. Replicates are drawn from their own substreams
     in order and processed in chunks. `threads` is accepted for
     compatibility and affects nothing.
@@ -370,7 +367,7 @@ def bootstrap_scalar(
 
 
 def write_bootstrap_summary_json(path, summary: BootstrapSummary) -> None:
-    payload = {
+    write_json(path, {
         "c_hat": summary.c_hat,
         "ci": [summary.ci[0], summary.ci[1]],
         "B": summary.B,
@@ -380,25 +377,17 @@ def write_bootstrap_summary_json(path, summary: BootstrapSummary) -> None:
         "metric_cis": {
             name: [lo, hi] for name, (lo, hi) in sorted(summary.metric_cis.items())
         },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def write_curve_band_csv(path, summary: BootstrapSummary) -> None:
     if summary.curve_grid is None:
         raise ValueError("summary has no cutoff-curve band (scalar bootstrap)")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "lower", "upper"])
-        for r, lo, hi in zip(summary.curve_grid, summary.curve_lower,
-                             summary.curve_upper):
-            writer.writerow([repr(float(r)), repr(float(lo)), repr(float(hi))])
+    write_csv(path, ["rho", "lower", "upper"],
+              zip(summary.curve_grid, summary.curve_lower, summary.curve_upper))
 
 
 def write_sweep_band_csv(path, summary: BootstrapSummary) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "sens_lo", "sens_hi", "spec_lo", "spec_hi"])
-        for row in zip(summary.sweep_c, summary.sens_lower, summary.sens_upper,
-                       summary.spec_lower, summary.spec_upper):
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, ["c", "sens_lo", "sens_hi", "spec_lo", "spec_hi"],
+              zip(summary.sweep_c, summary.sens_lower, summary.sens_upper,
+                  summary.spec_lower, summary.spec_upper))

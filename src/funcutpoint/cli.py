@@ -8,9 +8,7 @@ Exit codes: 0 success, 1 computation error, 2 usage or file error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -44,8 +42,10 @@ from .quantiles import (
     empirical_quantile,
     read_curves_csv,
     read_grid_json,
+    write_csv,
     write_curves_csv,
     write_grid_json,
+    write_json,
 )
 from .simulate import SPREAD_MODES, U2_MODES, run_study, summarize_study, \
     write_study_csv, write_summary_csv
@@ -130,17 +130,14 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, argv, seed: int, inputs, t0: float) -> None:
-    payload = {
+    write_json(out_dir / "manifest.json", {
         "command": command,
         "argv": list(argv),
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
         "wall_time_s": time.perf_counter() - t0,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    })
 
 
 def _read_scores(scores_path, column: str, labels_path):
@@ -276,16 +273,13 @@ def cmd_classify(args, out_dir: Path) -> None:
     curves = read_curves_csv(args.curves, read_grid_json(args.grid))
     margins = margin_vector(curves, family)
     predictions = classify(margins, c_hat)
-    with open(out_dir / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "margin", "prediction"])
-        for sid in margins:
-            writer.writerow([sid, repr(float(margins[sid])), predictions[sid]])
+    write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
+              ([sid, float(margins[sid]), predictions[sid]] for sid in margins))
     if args.labels:
         scores = np.array(list(margins.values()))
         labels_arr = _label_array(list(margins), args.labels)
         sens, spec, youden = confusion_at(scores, labels_arr, c_hat)
-        payload = {
+        write_json(out_dir / "metrics.json", {
             "c_hat": c_hat,
             "criterion": criterion,
             "sensitivity": sens,
@@ -293,10 +287,7 @@ def cmd_classify(args, out_dir: Path) -> None:
             "youden": youden,
             "n_cases": int(labels_arr.sum()),
             "n_controls": int((1 - labels_arr).sum()),
-        }
-        (out_dir / "metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        })
 
 
 def cmd_simulate(args, out_dir: Path) -> None:
@@ -335,26 +326,22 @@ def cmd_indices(args, out_dir: Path) -> None:
         for s in kept
     ]
     write_indices_csv(out_dir / "indices.csv", rows)
-    meta = {
+    write_json(out_dir / "indices_meta.json", {
         "mage_convention": MAGE_CONVENTION,
         "conga_horizon_hours": args.conga_horizon_hours,
         "tar_inclusive": not args.tar_exclusive,
-    }
-    (out_dir / "indices_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    })
 
 
 def cmd_roc(args, out_dir: Path) -> None:
     _, scores, labels_arr = _scored_sample(args)
     result = optimize(scores, labels_arr)
     write_roc_csv(out_dir / "roc.csv", result)
-    payload = {
+    write_json(out_dir / "auc.json", {
         "auc": result.auc,
         "n_cases": int(labels_arr.sum()),
         "n_controls": int((1 - labels_arr).sum()),
-    }
-    (out_dir / "auc.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _add_scored_input_args(sub, functional_required: bool = False):

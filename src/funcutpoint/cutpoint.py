@@ -8,13 +8,11 @@ distinct scores plus one sentinel above the maximum is an exact search.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
+
+from .quantiles import write_csv, write_json
 
 __all__ = [
     "CRITERIA",
@@ -23,8 +21,6 @@ __all__ = [
     "confusion_at",
     "candidate_set",
     "sweep_metrics",
-    "Sweep",
-    "sweep",
     "sorted_sweeps",
     "rates",
     "candidates",
@@ -121,7 +117,7 @@ def confusion_at(scores, labels, c: float):
 
 def candidate_set(scores) -> np.ndarray:
     """Distinct scores plus one sentinel above the maximum: the independent
-    reference that the test oracles check `sweep` against."""
+    reference that the test oracles check `optimize` against."""
     scores = np.asarray(scores, dtype=float)
     distinct = np.unique(scores)
     return np.append(distinct, distinct[-1] + 1.0)
@@ -129,7 +125,7 @@ def candidate_set(scores) -> np.ndarray:
 
 def sweep_metrics(scores, labels, cs):
     """Vectorized (sensitivity, specificity) arrays at thresholds cs: the
-    independent reference that the test oracles check `sweep` against."""
+    independent reference that the test oracles check `optimize` against."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     cases = np.sort(scores[labels == 1])
@@ -142,7 +138,7 @@ def sweep_metrics(scores, labels, cs):
 
 def roc_points(scores, labels):
     """ROC over the full candidate sweep, sorted by false-positive rate: the
-    independent reference that the test oracles check `Sweep.roc` against."""
+    independent reference that the test oracles check `optimize` against."""
     cs = candidate_set(scores)
     sens, spec = sweep_metrics(scores, labels, cs)
     return (1.0 - spec)[::-1], sens[::-1]
@@ -204,36 +200,6 @@ def _result(criterion, cs, sens, spec, fpr, tpr) -> CutpointResult:
     )
 
 
-class Sweep(NamedTuple):
-    """One sorted sample and its exact sweep over the candidate set.
-
-    cases_below[k] is the number of cases among values[:k]; cs, sens and
-    spec are the sweep over the distinct scores plus the sentinel, equal
-    to candidate_set and sweep_metrics bit for bit.
-    """
-
-    values: np.ndarray
-    cases_below: np.ndarray
-    cs: np.ndarray
-    sens: np.ndarray
-    spec: np.ndarray
-
-    def rates_at(self, cs):
-        """(sensitivity, specificity) at arbitrary thresholds cs, as
-        sweep_metrics gives them, without sorting again."""
-        below = np.searchsorted(self.values, cs, side="left")
-        return rates(self.cases_below[below], below, self.cases_below[-1], self.values.size)
-
-    def roc(self):
-        """(fpr, tpr): the full candidate sweep, sorted by false-positive
-        rate, as roc_points gives it."""
-        return (1.0 - self.spec)[::-1], self.sens[::-1]
-
-    def result(self, criterion: str) -> CutpointResult:
-        """optimize's unrestricted result."""
-        return _result(criterion, self.cs, self.sens, self.spec, *self.roc())
-
-
 def rates(case_lt, below, n_case, n):
     """(sensitivity, specificity) of the rule score >= c at thresholds where
     `below` scores, `case_lt` of them cases, lie under c, in a sample of n
@@ -251,21 +217,6 @@ def _chunks(count: int, width: int):
     chunk = max(1, _CHUNK_ELEMENTS // width)
     for start in range(0, count, chunk):
         yield slice(start, min(start + chunk, count))
-
-
-def sweep(scores, labels) -> Sweep:
-    """Validate a sample and sort it once into its candidate sweep: the
-    one-row case of sorted_sweeps and candidates.
-
-    The class counts come from one cumsum of the sorted labels, so sens
-    and spec are the quotients sweep_metrics gives at the candidates.
-    """
-    scores, labels = validate_sample(scores, labels)
-    values, cases_below, present = sorted_sweeps(scores[None], labels[None])
-    below = np.flatnonzero(present[0])
-    cs = candidates(scores[None], values, below[None])[0]
-    sens, spec = rates(cases_below[0, below], below, cases_below[0, -1], scores.size)
-    return Sweep(values[0], cases_below[0], cs, sens, spec)
 
 
 def sorted_sweeps(scores, labels):
@@ -334,17 +285,25 @@ def optimize(
     none for youden), then smallest c. The ROC and AUC always come from
     the unrestricted candidate sweep; `bounds` and `c_grid` only restrict
     where c_hat may lie.
+
+    The sample is sorted once, as the one row of sorted_sweeps, so the
+    rates are the quotients sweep_metrics gives at the candidates.
     """
-    full = sweep(scores, labels)
+    scores, labels = validate_sample(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    cs, sens, spec = full.cs, full.sens, full.spec
+    values, cases_below, present = (a[0] for a in sorted_sweeps(scores[None], labels[None]))
+    below = np.flatnonzero(present)
+    cs = candidates(scores[None], values[None], below[None])[0]
+    sens, spec = rates(cases_below[below], below, cases_below[-1], scores.size)
+    fpr, tpr = (1.0 - spec)[::-1], sens[::-1]
     if c_grid is not None:
         cs = np.asarray(c_grid, dtype=float)
         if cs.ndim != 1 or cs.size == 0:
             raise ValueError("c grid must be a nonempty 1-d array")
         cs = np.sort(cs)
-        sens, spec = full.rates_at(cs)
+        below = np.searchsorted(values, cs, side="left")
+        sens, spec = rates(cases_below[below], below, cases_below[-1], scores.size)
     if bounds is not None:
         lo, hi = bounds
         if not lo <= hi:
@@ -353,32 +312,18 @@ def optimize(
         cs, sens, spec = cs[inside], sens[inside], spec[inside]
         if cs.size == 0:
             raise ValueError("no candidate cut-points inside bounds")
-    return _result(criterion, cs, sens, spec, *full.roc())
+    return _result(criterion, cs, sens, spec, fpr, tpr)
 
 
 def write_sweep_csv(path, result: CutpointResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "sensitivity", "specificity", "youden"])
-        for row in zip(
-            result.sweep_c,
-            result.sweep_sensitivity,
-            result.sweep_specificity,
-            result.sweep_youden,
-        ):
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, ["c", "sensitivity", "specificity", "youden"],
+              zip(result.sweep_c, result.sweep_sensitivity, result.sweep_specificity,
+                  result.sweep_youden))
 
 
 def write_roc_csv(path, result: CutpointResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for f, t in zip(result.roc_fpr, result.roc_tpr):
-            writer.writerow([repr(float(f)), repr(float(t))])
+    write_csv(path, ["fpr", "tpr"], zip(result.roc_fpr, result.roc_tpr))
 
 
 def write_result_json(path, result: CutpointResult, extra: dict | None = None) -> None:
-    payload = result.to_dict()
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {**result.to_dict(), **(extra or {})})

@@ -10,13 +10,12 @@ CLI metadata.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import SubjectSeries
-from .quantiles import empirical_quantile
+from .quantiles import empirical_quantile, write_csv
 
 __all__ = [
     "IndexVector",
@@ -179,10 +178,6 @@ def compute_indices(
 
 
 def write_indices_csv(path, rows: list[IndexVector]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + list(INDEX_COLUMNS))
-        for r in rows:
-            writer.writerow(
-                [r.subject_id] + [repr(float(getattr(r, col))) for col in INDEX_COLUMNS]
-            )
+    write_csv(path, ["subject_id", *INDEX_COLUMNS],
+              ([r.subject_id] + [float(getattr(r, col)) for col in INDEX_COLUMNS]
+               for r in rows))

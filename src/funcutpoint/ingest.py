@@ -8,7 +8,6 @@ is attributed in the ingest report; nothing is lost silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantiles import csv_rows
+from .quantiles import csv_rows, write_json
 
 __all__ = [
     "SubjectSeries",
@@ -479,4 +478,4 @@ def ingest_cohort(
 
 
 def write_report_json(path, report) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(path, report)

@@ -8,10 +8,11 @@ moving average.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quantiles import write_csv
 
 __all__ = ["SmoothConfig", "pava", "moving_average", "monotone_smooth",
            "write_curve_values_csv"]
@@ -96,9 +97,5 @@ def write_curve_values_csv(path, rho, values) -> None:
     values = np.asarray(values, dtype=float)
     if rho.shape != values.shape:
         raise ValueError("rho and values must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "value"])
-        for r, v in zip(rho, values):
-            writer.writerow([repr(float(r)), repr(float(v))])
+    write_csv(path, ["rho", "value"], zip(rho, values))
 

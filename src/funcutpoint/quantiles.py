@@ -1,5 +1,8 @@
 """Distributional representation: empirical quantile curves on a shared
 probability grid, and their grid and curves files.
+
+Every artifact the package writes goes through write_json or write_csv,
+which own its format.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ __all__ = [
     "read_grid_json",
     "write_curves_csv",
     "read_curves_csv",
+    "write_json",
+    "write_csv",
 ]
 
 
@@ -92,10 +97,27 @@ def empirical_quantile(observations, grid, subject_id: str = "") -> QuantileCurv
     return QuantileCurve(subject_id, grid, ordered[idx])
 
 
+def write_json(path, payload) -> None:
+    """A JSON artifact: 2-space indent, sorted keys, a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV artifact: the csv module's default dialect (rows end in \\r\\n).
+    str and int cells are written as they are; any other cell, such as a
+    numpy float, as repr(float(cell)), which reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
+            for row in rows
+        )
+
+
 def write_grid_json(path, grid) -> None:
     grid = check_grid(grid)
-    payload = {"m": int(grid.size), "points": [float(g) for g in grid]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"m": int(grid.size), "points": [float(g) for g in grid]})
 
 
 def load_json_object(path, kind: str, keys) -> dict:
@@ -185,11 +207,8 @@ def write_curves_csv(path, curves) -> None:
     """Wide CSV: subject_id,rho_1,...,rho_m. Grid goes in a sidecar JSON."""
     curves = list(curves)
     grid, matrix = curve_matrix(curves)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)])
-        for c, values in zip(curves, matrix.tolist()):
-            writer.writerow([c.subject_id] + [repr(v) for v in values])
+    write_csv(path, ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)],
+              ([c.subject_id] + values for c, values in zip(curves, matrix.tolist())))
 
 
 def read_curves_csv(path, grid) -> list[QuantileCurve]:

@@ -23,14 +23,13 @@ produce decreasing control curves, which generation rejects.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cutpoint import CRITERIA, _chunks, pick, rates, sorted_sweeps
 from .normal import TruncNormalSpec, tn_quantile
-from .quantiles import QuantileCurve, check_grid, default_grid
+from .quantiles import QuantileCurve, check_grid, default_grid, write_csv
 from .threshold import standardise
 
 __all__ = [
@@ -223,23 +222,27 @@ def run_study(
             # Labels are 0 or 1, so a byte holds each; sorted_sweeps counts
             # them in int64.
             labels = np.empty((size, n), dtype=np.int8)
-            for row, r in enumerate(range(span.start, span.stop)):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(ci, r)))
-                matrix, z = generate_arrays(params, rng)
-                regen = 0
-                while z.min() == z.max():
-                    regen += 1
-                    if regen > _MAX_REGENERATIONS:
-                        raise RuntimeError("could not draw a cohort with both classes")
+            # Huge a or b overflow to inf and nan; the finiteness check
+            # below reports that once per chunk, in place of numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row, r in enumerate(range(span.start, span.stop)):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(seed, spawn_key=(ci, r)))
                     matrix, z = generate_arrays(params, rng)
-                regenerated += regen
-                labels[row] = z
-                margins[row] = standardise(matrix, z)[2]
-                # Else the next cohort's n x m matrix is built beside it.
-                del matrix
+                    regen = 0
+                    while z.min() == z.max():
+                        regen += 1
+                        if regen > _MAX_REGENERATIONS:
+                            raise RuntimeError("could not draw a cohort with both classes")
+                        matrix, z = generate_arrays(params, rng)
+                    regenerated += regen
+                    labels[row] = z
+                    margins[row] = standardise(matrix, z)[2]
+                    # Else the next cohort's n x m matrix is built beside it.
+                    del matrix
             if not np.isfinite(margins).all():
-                raise ValueError("scores must be finite")
+                raise ValueError(f"cell (a, b, n) = ({a!r}, {b!r}, {n}): "
+                                 "generated margins are not finite")
             optima = _optima(margins, labels, criteria)
             for row, r in enumerate(range(span.start, span.stop)):
                 for criterion, sens_at, spec_at in optima:
@@ -285,26 +288,14 @@ def summarize_study(rows):
 
 
 def write_study_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "n", "criterion", "replicate",
-                         "sensitivity", "specificity"])
-        for row in rows:
-            writer.writerow([
-                repr(float(row["a"])), repr(float(row["b"])), int(row["n"]),
-                row["criterion"], int(row["replicate"]),
-                repr(float(row["sensitivity"])), repr(float(row["specificity"])),
-            ])
+    write_csv(path, ["a", "b", "n", "criterion", "replicate", "sensitivity", "specificity"],
+              ([float(row["a"]), float(row["b"]), int(row["n"]), row["criterion"],
+                int(row["replicate"]), float(row["sensitivity"]), float(row["specificity"])]
+               for row in rows))
 
 
 def write_summary_csv(path, summary) -> None:
     cols = ["mean", "q025", "q250", "median", "q750", "q975"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "n", "criterion", "metric"] + cols)
-        for row in summary:
-            writer.writerow(
-                [repr(float(row["a"])), repr(float(row["b"])), int(row["n"]),
-                 row["criterion"], row["metric"]]
-                + [repr(float(row[c])) for c in cols]
-            )
+    write_csv(path, ["a", "b", "n", "criterion", "metric"] + cols,
+              ([float(row["a"]), float(row["b"]), int(row["n"]), row["criterion"],
+                row["metric"]] + [float(row[c]) for c in cols] for row in summary))

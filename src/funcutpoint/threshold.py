@@ -8,15 +8,13 @@ rule exactly optimizable in one dimension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .cutpoint import CRITERIA
 from .quantiles import (QuantileCurve, check_grid, curve_matrix, json_number, json_numbers,
-                        load_json_object)
+                        load_json_object, write_json)
 
 __all__ = [
     "ThresholdFamily",
@@ -179,7 +177,7 @@ def write_cutoff_json(
     }
     if smoothed_curve is not None:
         payload["smoothed_curve"] = [float(v) for v in smoothed_curve]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def read_cutoff_json(path):

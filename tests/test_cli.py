@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -602,6 +603,24 @@ def test_simulate_rejects_non_finite_separation(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err == "error: a and b must be finite and nonnegative\n"
     assert not (tmp_path / "s" / "study.csv").exists()
 
+
+@pytest.mark.parametrize("a, b, cell", [
+    ("1e308", "0", "(1e+308, 0.0, 10)"),
+    ("0", "1e308", "(0.0, 1e+308, 10)"),
+])
+def test_simulate_overflowing_cell_is_one_error_line(tmp_path, capsys, a, b, cell):
+    """Finite but huge separations overflow the generated margins: one
+    error line names the cell, and no numpy warning precedes it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--a", a, "--b", b, "--n", "10", "--R", "2",
+                   "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: cell (a, b, n) = {cell}: generated margins are not finite\n")
+    assert not (tmp_path / "s" / "study.csv").exists()
+
 SCORE_IDS = st.text(alphabet="abXY09_-.", min_size=1, max_size=6)
 
 
@@ -655,3 +674,108 @@ def test_scores_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defec
     with pytest.raises(ValueError) as exc:
         _read_scores(scores, "score", labels)
     assert str(exc.value) == f"{scores} line {line_no}: {message}"
+
+
+def _golden_routes(ingested, scores_files, cohort_files, root):
+    """Every subcommand and route on the small fixtures, as (name, argv)."""
+    curves_dir, labels = ingested
+    scores, score_labels = scores_files
+    series, _ = cohort_files
+    curves = ["--curves", str(curves_dir / "curves.csv"),
+              "--grid", str(curves_dir / "grid.json")]
+    scalar = ["--scores", str(scores), "--labels", str(score_labels)]
+    cutoff = str(root / "fit" / "cutoff.json")
+    return [
+        ("ingest", ["ingest", "--series", str(series), "--labels", str(labels),
+                    "--nominal-interval", "15"]),
+        ("fit", ["fit", *curves, "--labels", str(labels)]),
+        ("fit-smooth", ["fit", *curves, "--labels", str(labels),
+                        "--smooth", "--window", "3"]),
+        ("fit-scores", ["fit", *scalar, "--direction", "low"]),
+        ("bootstrap-curves", ["bootstrap", *curves, "--labels", str(labels),
+                              "--B", "25", "--seed", "3"]),
+        ("bootstrap-scores", ["bootstrap", *scalar, "--B", "80", "--seed", "6"]),
+        ("classify", ["classify", "--cutoff", cutoff, *curves, "--labels", str(labels)]),
+        ("classify-unlabelled", ["classify", "--cutoff", cutoff, *curves]),
+        ("roc", ["roc", *scalar, "--score-column", "age"]),
+        ("simulate", ["simulate", "--a", "0,2", "--b", "0,1", "--n", "30", "--R", "5",
+                      "--seed", "12"]),
+        ("indices", ["indices", "--series", str(series), "--nominal-interval", "15"]),
+    ]
+
+
+# SHA-256 of every artifact but manifest.json, recorded before the writers
+# shared one artifact format (quantiles.write_json and write_csv).
+GOLDEN_DIGESTS = {
+    "ingest/curves.csv":
+        "32f80fbe6d8d8e32466df535d8a2e89563565839fa3d52a1bef848d7eec2fd49",
+    "ingest/grid.json":
+        "21e087440f490345db25921a0f2f1fd59f9bd356674639472714000af0d1645d",
+    "ingest/report.json":
+        "87f6e64af9604e8f2c39053348cb8d194c589395a7e9dfd946d7e16c1423545a",
+    "fit/cutoff.json":
+        "462a04303dea1c890a0092a1f03dc5db13093951aec325431de99171426ba9ef",
+    "fit/result.json":
+        "3eba0f7e55791516833450bda6d8d4ea95c326a75e44b3465668d25111fdeca7",
+    "fit/roc.csv":
+        "7470d1b86d018982341d720e1c2c0eab8e7a2dd46d0eb10985d510857b15c484",
+    "fit/sweep.csv":
+        "43f12d9434a6aeeb33d6d8aec38117848b6dcca56edf9ac3e5174543aeff32eb",
+    "fit-smooth/cutoff.json":
+        "be87fae786eb9aa25546b4b1cceff1ec9332baf6c3abb7ab842bf82fd27cfd71",
+    "fit-smooth/result.json":
+        "f3611cba5a0979b4cf812e74e8a161559550d9bd3a475fde36013119f4af11f3",
+    "fit-smooth/roc.csv":
+        "7470d1b86d018982341d720e1c2c0eab8e7a2dd46d0eb10985d510857b15c484",
+    "fit-smooth/smoothed_curve.csv":
+        "5d0c645d800ede4de76a9e02d30cb7799b928d8387f803e482486a97e0304132",
+    "fit-smooth/sweep.csv":
+        "43f12d9434a6aeeb33d6d8aec38117848b6dcca56edf9ac3e5174543aeff32eb",
+    "fit-scores/result.json":
+        "62fe1bc07d1bd3e12e41daa4b92d5cc53f2ff27e4905067dfcef8f3364ebde2b",
+    "fit-scores/roc.csv":
+        "108630826aed2c769bc537b8ff3b8ac3aeedf13101130f42285051434f63c46d",
+    "fit-scores/sweep.csv":
+        "13f2377a0513b3f1568a72f15ae9dd272f06d4c870517bf5ab315c24cf68bd1a",
+    "bootstrap-curves/bootstrap.json":
+        "61e5162551cda7f9997f66093fd746387d14f266fe66e5c7cd2b8b7d67e4d0f3",
+    "bootstrap-curves/curve_band.csv":
+        "fb44b9cad58b1817f5f407836689266027c8f0a5cab0a96a127c845a3c0f0e96",
+    "bootstrap-curves/sweep_band.csv":
+        "a5c63c0aae1e81becdaa7e9b47fd698da76c99d2aed08909794cc9f21b92d91f",
+    "bootstrap-scores/bootstrap.json":
+        "1d328a3df8b6efe97524e29b951f06f2032e257eedf146c947532f499eb16de1",
+    "bootstrap-scores/sweep_band.csv":
+        "11fffbde006eb7c0e6e1853f1ad93442ee3f4bd6fe588f27421e7a82cce5877a",
+    "classify/metrics.json":
+        "1bbbc4d1f1c5e6ac17cdcd2dd86f64bb6f8a52b9bf943cf99f332a4d3114a9db",
+    "classify/predictions.csv":
+        "1f9329234252b8774e04ecab5ed96b5f0451cd5014f4cc3e94f01f151dc434c7",
+    "classify-unlabelled/predictions.csv":
+        "1f9329234252b8774e04ecab5ed96b5f0451cd5014f4cc3e94f01f151dc434c7",
+    "roc/auc.json":
+        "efd643b3ad2d99d4fc7d2bd98d6f1f73c88c7ac23760ddc610d012f19e0e7d52",
+    "roc/roc.csv":
+        "430fa48627ce32c1b64fa453b6a1700f7aed17a2b62054ee79540765448cb26e",
+    "simulate/study.csv":
+        "98772b74f8fb9599884cdbffb280810a2c92e54d315cfbb03600be663f072c48",
+    "simulate/study_summary.csv":
+        "5b434298bed8852b7f9653d1b0e168889e5befa64a8b26f87ea85789aa5a1661",
+    "indices/indices.csv":
+        "0d7d82116845d06a337f4c5a5186c961b06567653d6a40d7f07772153dc994fe",
+    "indices/indices_meta.json":
+        "2afbaf5ba9695c92b5c77dbeb565f2a7411bf34389d2671cf0ea6389e23eb1f4",
+    "indices/report.json":
+        "87f6e64af9604e8f2c39053348cb8d194c589395a7e9dfd946d7e16c1423545a",
+}
+
+
+def test_artifacts_match_recorded_digests(ingested, scores_files, cohort_files, tmp_path):
+    digests = {}
+    for name, argv in _golden_routes(ingested, scores_files, cohort_files, tmp_path):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, name
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
