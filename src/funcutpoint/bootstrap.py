@@ -20,6 +20,7 @@ import numpy as np
 
 from .cutpoint import (_chunks, candidates, optimize, pick, rates, sorted_sweeps,
                        validate_sample, zero_candidate)
+from .ingest import label_array
 from .quantiles import curve_matrix, write_csv, write_json
 from .threshold import ThresholdFamily, standardise
 
@@ -207,17 +208,12 @@ def bootstrap_cutpoint(
     sorted and swept at once (cutpoint.sorted_sweeps). Replicates run serially; `threads` is
     accepted for compatibility and affects nothing.
     """
-    try:
-        labels_arr = np.array([labels[c.subject_id] for c in curves], dtype=int)
-    except KeyError as exc:
-        raise ValueError(f"no label for subject {exc.args[0]!r}") from None
-
+    labels_arr = label_array([c.subject_id for c in curves], labels)
     grid, matrix = curve_matrix(curves)
     n, m = matrix.shape
     # standardise works in place, and the matrix itself is resampled below.
     mu, sigma, margins = standardise(matrix.copy(), labels_arr, mu_mode, group, with_sigma)
     family = ThresholdFamily(grid, mu, sigma)
-    validate_sample(margins, labels_arr)
     point = optimize(margins, labels_arr, criterion)
     ref_grid = np.linspace(margins.min(), margins.max(), SWEEP_BAND_POINTS)
 

@@ -33,7 +33,7 @@ from .cutpoint import (
     write_sweep_csv,
 )
 from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
-from .ingest import GAP_MODES, ingest_cohort, parse_labels, write_report_json
+from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels, write_report_json
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
     csv_rows,
@@ -146,7 +146,7 @@ def _read_scores(scores_path, column: str, labels_path):
     seen = set()
     reader = csv_rows(scores_path, str(scores_path))
     header = next(reader, None)
-    if header is None or header[0].strip() != "subject_id":
+    if not header or header[0].strip() != "subject_id":
         raise ValueError(f"{scores_path}: first column must be subject_id")
     names = [h.strip() for h in header]
     if column not in names:
@@ -170,15 +170,7 @@ def _read_scores(scores_path, column: str, labels_path):
             raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
     if not ids:
         raise ValueError(f"{scores_path}: no data rows")
-    return ids, np.asarray(values), _label_array(ids, labels_path)
-
-
-def _label_array(ids, labels_path) -> np.ndarray:
-    labels = parse_labels(labels_path)
-    missing = [sid for sid in ids if sid not in labels]
-    if missing:
-        raise ValueError(f"no label for subject {missing[0]!r}")
-    return np.array([labels[sid] for sid in ids], dtype=int)
+    return ids, np.asarray(values), label_array(ids, parse_labels(labels_path))
 
 
 def _scored_sample(args):
@@ -190,16 +182,18 @@ def _scored_sample(args):
         return None, (-scores if args.direction == "low" else scores), labels_arr
     curves = read_curves_csv(args.curves, read_grid_json(args.grid))
     grid, matrix = curve_matrix(curves)
-    labels_arr = _label_array([c.subject_id for c in curves], args.labels)
+    labels_arr = label_array([c.subject_id for c in curves], parse_labels(args.labels))
     mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
                                     args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
 
-def cmd_ingest(args, out_dir: Path) -> None:
+def _ingest(args, out_dir: Path, labels_path):
+    """The subjects of --series kept by the day filter; writes report.json
+    and fails when none is kept."""
     kept, _, report = ingest_cohort(
         args.series,
-        args.labels,
+        labels_path,
         max_gap_minutes=args.max_gap_minutes,
         gap_mode=args.gap_mode,
         min_days=args.min_days,
@@ -208,6 +202,11 @@ def cmd_ingest(args, out_dir: Path) -> None:
     write_report_json(out_dir / "report.json", report)
     if not kept:
         raise ValueError("no subjects retained after day filtering")
+    return kept
+
+
+def cmd_ingest(args, out_dir: Path) -> None:
+    kept = _ingest(args, out_dir, args.labels)
     grid = default_grid(args.grid_size)
     curves = [empirical_quantile(s.values, grid, s.subject_id) for s in kept]
     write_curves_csv(out_dir / "curves.csv", curves)
@@ -277,7 +276,7 @@ def cmd_classify(args, out_dir: Path) -> None:
               ([sid, float(margins[sid]), predictions[sid]] for sid in margins))
     if args.labels:
         scores = np.array(list(margins.values()))
-        labels_arr = _label_array(list(margins), args.labels)
+        labels_arr = label_array(margins, parse_labels(args.labels))
         sens, spec, youden = confusion_at(scores, labels_arr, c_hat)
         write_json(out_dir / "metrics.json", {
             "c_hat": c_hat,
@@ -310,20 +309,9 @@ def cmd_simulate(args, out_dir: Path) -> None:
 
 
 def cmd_indices(args, out_dir: Path) -> None:
-    kept, _, report = ingest_cohort(
-        args.series,
-        None,
-        max_gap_minutes=args.max_gap_minutes,
-        gap_mode=args.gap_mode,
-        min_days=args.min_days,
-        nominal_interval_minutes=args.nominal_interval,
-    )
-    write_report_json(out_dir / "report.json", report)
-    if not kept:
-        raise ValueError("no subjects retained after day filtering")
     rows = [
         compute_indices(s, args.conga_horizon_hours, not args.tar_exclusive)
-        for s in kept
+        for s in _ingest(args, out_dir, None)
     ]
     write_indices_csv(out_dir / "indices.csv", rows)
     write_json(out_dir / "indices_meta.json", {
@@ -357,6 +345,13 @@ def _add_scored_input_args(sub, functional_required: bool = False):
                      help="label used by the group-mean mu mode")
     sub.add_argument("--with-sigma", action="store_true",
                      help="estimate pointwise sigma instead of sigma = 1")
+
+
+def _add_day_filter_args(sub):
+    sub.add_argument("--max-gap-minutes", type=float, default=120.0)
+    sub.add_argument("--gap-mode", choices=GAP_MODES, default="cumulative")
+    sub.add_argument("--min-days", type=int, default=2)
+    sub.add_argument("--nominal-interval", type=float, default=5.0)
 
 
 def _scored_inputs(args):
@@ -394,10 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parse and filter CGM series, write quantile curves")
     p.add_argument("--series", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--max-gap-minutes", type=float, default=120.0)
-    p.add_argument("--gap-mode", choices=GAP_MODES, default="cumulative")
-    p.add_argument("--min-days", type=int, default=2)
-    p.add_argument("--nominal-interval", type=float, default=5.0)
+    _add_day_filter_args(p)
     p.add_argument("--grid-size", type=int, default=100)
     p.set_defaults(handler=cmd_ingest,
                    inputs=lambda a: [a.series, a.labels])
@@ -450,10 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indices", parents=[common],
                        help="per-subject glycemic variability indices")
     p.add_argument("--series", required=True)
-    p.add_argument("--max-gap-minutes", type=float, default=120.0)
-    p.add_argument("--gap-mode", choices=GAP_MODES, default="cumulative")
-    p.add_argument("--min-days", type=int, default=2)
-    p.add_argument("--nominal-interval", type=float, default=5.0)
+    _add_day_filter_args(p)
     p.add_argument("--conga-horizon-hours", type=float, default=1.0)
     p.add_argument("--tar-exclusive", action="store_true",
                    help="use strict > for time above range")

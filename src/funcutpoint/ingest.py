@@ -21,6 +21,7 @@ __all__ = [
     "SubjectSeries",
     "parse_series",
     "parse_labels",
+    "label_array",
     "filter_days",
     "ingest_cohort",
     "write_report_json",
@@ -84,7 +85,7 @@ def _parse_timestamp(raw: str, path, line_no: int) -> int:
 
 # Columnar fast path of parse_series. It decodes only the canonical forms
 # below and declines (returns None) on anything else, so every other input,
-# and every error message, goes through the per-row parser unchanged.
+# and every error message, goes through the per-row reader.
 _HEADER = b"subject_id,timestamp,glucose\n"
 # Rows decoded per block: bounds the per-block temporaries.
 _BLOCK_ROWS = 1 << 15
@@ -243,10 +244,13 @@ def _parse_columns(data: bytes):
     return [key.decode("ascii") for key in index], times, glucose, codes
 
 
-def _parse_series_rows(path, nominal_interval_minutes: float):
-    """The per-row parser: the reference for every form and error message."""
-    groups: dict[str, list[tuple[int, float]]] = {}
-    clamped: dict[str, int] = {}
+def _parse_series_rows(path):
+    """The per-row reader: the reference for every form and error message.
+
+    Returns what _parse_columns returns, for any file the csv module reads.
+    """
+    index: dict[str, int] = {}
+    times, glucose, codes = [], [], []
     reader = csv_rows(path, str(path))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["subject_id", "timestamp", "glucose"]:
@@ -257,7 +261,7 @@ def _parse_series_rows(path, nominal_interval_minutes: float):
         sid = row[0].strip()
         if not sid:
             raise ValueError(f"{path} line {line_no}: empty subject_id")
-        t = _parse_timestamp(row[1], path, line_no)
+        times.append(_parse_timestamp(row[1], path, line_no))
         try:
             g = float(row[2])
         except ValueError:
@@ -266,30 +270,12 @@ def _parse_series_rows(path, nominal_interval_minutes: float):
             ) from None
         if not np.isfinite(g):
             raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
-        if g < GLUCOSE_LO or g > GLUCOSE_HI:
-            clamped[sid] = clamped.get(sid, 0) + 1
-            g = min(max(g, GLUCOSE_LO), GLUCOSE_HI)
-        groups.setdefault(sid, []).append((t, g))
-
-    series = []
-    stats = {}
-    for sid, rows in groups.items():
-        times = np.array([t for t, _ in rows], dtype=np.int64)
-        values = np.array([g for _, g in rows], dtype=float)
-        order = np.argsort(times, kind="stable")
-        times, values = times[order], values[order]
-        keep = np.concatenate([[True], np.diff(times) > 0])
-        series.append(
-            SubjectSeries(sid, times[keep], values[keep], nominal_interval_minutes)
-        )
-        stats[sid] = {
-            "records_in": len(rows),
-            "deduped": int(len(rows) - keep.sum()),
-            "clamped": clamped.get(sid, 0),
-        }
-    if not series:
+        glucose.append(g)
+        codes.append(index.setdefault(sid, len(index)))
+    if not index:
         raise ValueError(f"{path}: no data rows")
-    return series, stats
+    return (list(index), np.array(times, dtype=np.int64), np.array(glucose, dtype=float),
+            np.array(codes, dtype=np.int32))
 
 
 def parse_series(path, nominal_interval_minutes: float = 5.0):
@@ -301,12 +287,11 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     out-of-range glucose is clamped to [40, 400] and counted.
 
     Files wholly in the canonical form are decoded column-wise; any other
-    file goes to the per-row parser, with identical results and errors.
+    file is read row by row. Both readers feed the one tail below.
     """
-    columns = _parse_columns(Path(path).read_bytes())
-    if columns is None:
-        return _parse_series_rows(path, nominal_interval_minutes)
-    ids, times, glucose, codes = columns
+    ids, times, glucose, codes = (
+        _parse_columns(Path(path).read_bytes()) or _parse_series_rows(path)
+    )
     n = len(ids)
     out_of_range = (glucose < GLUCOSE_LO) | (glucose > GLUCOSE_HI)
     clamped = np.bincount(codes[out_of_range], minlength=n)
@@ -353,6 +338,14 @@ def parse_labels(path) -> dict[str, int]:
     if not labels:
         raise ValueError(f"{path}: no label rows")
     return labels
+
+
+def label_array(ids, labels: dict[str, int]) -> np.ndarray:
+    """The labels of `ids`, in order; the first id without one fails."""
+    try:
+        return np.array([labels[sid] for sid in ids], dtype=int)
+    except KeyError as exc:
+        raise ValueError(f"no label for subject {exc.args[0]!r}") from None
 
 
 def filter_days(

@@ -125,7 +125,7 @@ def load_json_object(path, kind: str, keys) -> dict:
     content fails with a ValueError naming the file as "<kind> file"."""
     try:
         payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ValueError(f"{kind} file {path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} file {path}: expected a JSON object")

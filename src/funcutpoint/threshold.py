@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutpoint import CRITERIA
+from .ingest import label_array
 from .quantiles import (QuantileCurve, check_grid, curve_matrix, json_number, json_numbers,
                         load_json_object, write_json)
 
@@ -130,7 +131,7 @@ def estimate_mu(
     grid, matrix = curve_matrix(curves)
     labels_arr = None
     if mode == "group-mean" and labels is not None:
-        labels_arr = np.array([labels[c.subject_id] for c in curves])
+        labels_arr = label_array([c.subject_id for c in curves], labels)
     mu, sigma, _ = standardise(matrix, labels_arr, mode, group, with_sigma)
     return ThresholdFamily(grid, mu, sigma)
 

@@ -5,14 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint.cli import _read_scores, main
 from funcutpoint.cutpoint import roc_points
 from funcutpoint.quantiles import default_grid, read_curves_csv, read_grid_json
-from funcutpoint.threshold import ThresholdFamily, write_cutoff_json
+from funcutpoint.threshold import ThresholdFamily, read_cutoff_json, write_cutoff_json
 
 SEED = 20240820
 
@@ -554,6 +554,23 @@ def test_bad_cutoff_file_is_named(ingested, tmp_path, capsys, data, message):
     assert capsys.readouterr().err == f"error: cutoff file {cutoff}: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["grid", "cutoff"])
+def test_too_deeply_nested_json_file_is_named(ingested, tmp_path, capsys, kind):
+    curves_dir, labels = ingested
+    curves, grid = str(curves_dir / "curves.csv"), str(curves_dir / "grid.json")
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text("[" * 100_000)
+    if kind == "grid":
+        argv = ["fit", "--curves", curves, "--grid", str(bad), "--labels", str(labels)]
+    else:
+        argv = ["classify", "--cutoff", str(bad), "--curves", curves, "--grid", grid]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {bad}: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
 def corrupt_line_3(path, tmp_path, defect):
     """A copy of `path` whose line 3 starts with a 140,000-character field
     or with a byte that is not UTF-8."""
@@ -592,6 +609,74 @@ def test_malformed_csv_inputs_name_the_file(cohort_files, ingested, scores_files
     assert capsys.readouterr().err == f"error: {message.format(name=name)}\n"
 
 
+@pytest.fixture(scope="module")
+def fuzz_routes(ingested, cohort_files, scores_files, tmp_path_factory):
+    """For each file input, the argv of a run whose other inputs are the
+    valid fixtures, as a function of the fuzzed file's path."""
+    curves_dir, labels = (str(p) for p in ingested)
+    curves, grid = f"{curves_dir}/curves.csv", f"{curves_dir}/grid.json"
+    series_labels = str(cohort_files[1])
+    scores, score_labels = (str(p) for p in scores_files)
+    fit_out = tmp_path_factory.mktemp("fuzz_fit")
+    assert main(["fit", "--curves", curves, "--grid", grid, "--labels", labels,
+                 "--out", str(fit_out)]) == 0
+    cutoff = str(fit_out / "cutoff.json")
+    return {
+        "grid": lambda p: ["fit", "--curves", curves, "--grid", p, "--labels", labels],
+        "cutoff": lambda p: ["classify", "--cutoff", p, "--curves", curves, "--grid", grid],
+        "curves": lambda p: ["fit", "--curves", p, "--grid", grid, "--labels", labels],
+        "scores": lambda p: ["fit", "--scores", p, "--labels", score_labels],
+        "labels": lambda p: ["fit", "--scores", scores, "--labels", p],
+        "series": lambda p: ["ingest", "--series", p, "--labels", series_labels],
+        "indices-series": lambda p: ["indices", "--series", p],
+        "classify-labels": lambda p: ["classify", "--cutoff", cutoff, "--curves", curves,
+                                      "--grid", grid, "--labels", p],
+    }
+
+
+# JSON values whose objects use the grid and cutoff keys, so that the type
+# and shape checks behind them are reached as well as the parser's.
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["points", "m", "grid", "mu", "sigma", "c_hat", "criterion", "x"]),
+        inner, max_size=6),
+    max_leaves=12,
+)
+JSON_READERS = {"grid": read_grid_json, "cutoff": read_cutoff_json}
+
+
+def _accepted(reader, path) -> bool:
+    try:
+        reader(path)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["grid", "cutoff", "curves", "scores", "labels", "series",
+                                  "indices-series", "classify-labels"])
+def test_fuzzed_input_file_is_one_error_line(fuzz_routes, tmp_path, capsys, kind, data):
+    """Random bytes, or for grid and cutoff also random JSON, in one file
+    input: main returns 1 or 2 with one error line naming that file."""
+    contents = st.binary(max_size=200)
+    if kind in JSON_READERS:
+        contents |= FUZZ_JSON.map(lambda value: json.dumps(value).encode())
+    path = tmp_path / f"fuzzed_{kind}"
+    path.write_bytes(data.draw(contents))
+    if kind in JSON_READERS:
+        # A file its reader accepts can only fail against the other inputs.
+        assume(not _accepted(JSON_READERS[kind], path))
+    rc = main(fuzz_routes[kind](str(path)) + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--a", "nan"), ("--a", "inf"), ("--b", "nan"), ("--b", "inf"),
 ])
@@ -620,6 +705,18 @@ def test_simulate_overflowing_cell_is_one_error_line(tmp_path, capsys, a, b, cel
     assert capsys.readouterr().err == (
         f"error: cell (a, b, n) = {cell}: generated margins are not finite\n")
     assert not (tmp_path / "s" / "study.csv").exists()
+
+
+def test_scores_file_with_blank_first_line_is_one_error_line(tmp_path, capsys):
+    scores = tmp_path / "blank.csv"
+    scores.write_text("\ns1,1\n")
+    labels = tmp_path / "labels.csv"
+    write_labels_file(labels, {"s1": 1})
+    rc = main(["fit", "--scores", str(scores), "--labels", str(labels),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {scores}: first column must be subject_id\n"
+
 
 SCORE_IDS = st.text(alphabet="abXY09_-.", min_size=1, max_size=6)
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,36 @@ def test_artifact_format_lives_in_quantiles():
     uses = {path.name: _artifact_writer_uses(path) for path in sorted(src.glob("*.py"))}
     assert uses.pop("quantiles.py") != []
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _third_party_imports(root: Path, local) -> set[str]:
+    """Top-level names of the absolute imports in the .py files under root
+    that are neither the standard library nor in `local`."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names if n not in sys.stdlib_module_names and n not in local}
+
+
+def _names(requirements) -> set[str]:
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower() for r in requirements}
+
+
+def test_declared_dependencies_match_imports():
+    """src/ imports exactly the runtime dependencies; tests/ imports
+    exactly the test extra beyond them (pip install .[test] gives both)."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = _names(project["dependencies"])
+    test_extra = _names(project["optional-dependencies"]["test"])
+    tests = ROOT / "tests"
+    local = {"funcutpoint"} | {path.stem for path in tests.glob("*.py")}
+    assert _third_party_imports(ROOT / "src", local) == runtime
+    assert _third_party_imports(tests, local) - runtime == test_extra

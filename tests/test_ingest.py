@@ -385,15 +385,20 @@ def assert_same_outcome(got, want):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=series_files(), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]))
-def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, data, block_rows):
+@pytest.mark.parametrize("per_row", [False, True])
+def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, data, block_rows):
+    """With per_row, every file goes through the per-row reader and the
+    shared tail."""
     path = tmp_path / "series.csv"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    if per_row:
+        monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
 
 def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
-    def per_row(path, nominal):
+    def per_row(path):
         raise AssertionError("per-row parser called")
 
     path = tmp_path / "series.csv"
@@ -430,9 +435,9 @@ def test_fast_path_declines_other_forms(tmp_path, monkeypatch, line):
     calls = []
     per_row = ingest._parse_series_rows
 
-    def spy(path, nominal):
+    def spy(path):
         calls.append(path)
-        return per_row(path, nominal)
+        return per_row(path)
 
     path = tmp_path / "series.csv"
     path.write_bytes(b"subject_id,timestamp,glucose\n" + line + b"\n")

@@ -71,6 +71,14 @@ def test_group_mean_uses_only_requested_label():
         estimate_mu(curves, mode="group-mean", labels={"a": 0, "b": 0, "c": 0}, group=1)
 
 
+def test_group_mean_names_the_first_unlabelled_curve():
+    grid = default_grid(3)
+    curves = [constant_curve(sid, grid, 100.0) for sid in ("a", "b", "c")]
+    with pytest.raises(ValueError) as exc:
+        estimate_mu(curves, mode="group-mean", labels={"a": 0})
+    assert str(exc.value) == "no label for subject 'b'"
+
+
 def test_estimate_mu_rejects_unknown_mode():
     grid = default_grid(3)
     with pytest.raises(ValueError):
