@@ -156,6 +156,8 @@ def _read_scores(scores_path, column: str, labels_path):
         if len(row) != len(names):
             raise ValueError(f"{scores_path} line {line_no}: wrong column count")
         sid = row[0].strip()
+        if not sid:
+            raise ValueError(f"{scores_path} line {line_no}: empty subject_id")
         if sid in seen:
             raise ValueError(f"{scores_path} line {line_no}: duplicate subject_id {sid!r}")
         seen.add(sid)
@@ -170,7 +172,7 @@ def _read_scores(scores_path, column: str, labels_path):
             raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
     if not ids:
         raise ValueError(f"{scores_path}: no data rows")
-    return ids, np.asarray(values), label_array(ids, parse_labels(labels_path))
+    return ids, np.asarray(values), label_array(ids, parse_labels(labels_path), labels_path)
 
 
 def _scored_sample(args):
@@ -182,7 +184,8 @@ def _scored_sample(args):
         return None, (-scores if args.direction == "low" else scores), labels_arr
     curves = read_curves_csv(args.curves, read_grid_json(args.grid))
     grid, matrix = curve_matrix(curves)
-    labels_arr = label_array([c.subject_id for c in curves], parse_labels(args.labels))
+    labels_arr = label_array([c.subject_id for c in curves], parse_labels(args.labels),
+                             args.labels)
     mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
                                     args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
@@ -242,12 +245,11 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
                           max_redraws=args.max_redraws)
     try:
         if args.curves:
-            # bootstrap_cutpoint names the first curve without a label.
+            curves = read_curves_csv(args.curves, read_grid_json(args.grid))
+            labels = parse_labels(args.labels)
+            label_array([c.subject_id for c in curves], labels, args.labels)  # names the file
             summary = bootstrap_cutpoint(
-                read_curves_csv(args.curves, read_grid_json(args.grid)),
-                parse_labels(args.labels),
-                args.criterion,
-                cfg,
+                curves, labels, args.criterion, cfg,
                 mu_mode=args.mu_mode,
                 group=args.group,
                 with_sigma=args.with_sigma,
@@ -269,14 +271,16 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
 
 def cmd_classify(args, out_dir: Path) -> None:
     family, c_hat, criterion, _ = read_cutoff_json(args.cutoff)
-    curves = read_curves_csv(args.curves, read_grid_json(args.grid))
-    margins = margin_vector(curves, family)
+    grid = read_grid_json(args.grid)
+    if not np.array_equal(grid, family.grid):
+        raise ValueError(f"cutoff file {args.cutoff}: grid differs from grid file {args.grid}")
+    margins = margin_vector(read_curves_csv(args.curves, grid), family)
     predictions = classify(margins, c_hat)
     write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
               ([sid, float(margins[sid]), predictions[sid]] for sid in margins))
     if args.labels:
         scores = np.array(list(margins.values()))
-        labels_arr = label_array(margins, parse_labels(args.labels))
+        labels_arr = label_array(margins, parse_labels(args.labels), args.labels)
         sens, spec, youden = confusion_at(scores, labels_arr, c_hat)
         write_json(out_dir / "metrics.json", {
             "c_hat": c_hat,

@@ -90,11 +90,11 @@ _HEADER = b"subject_id,timestamp,glucose\n"
 # Rows decoded per block: bounds the per-block temporaries.
 _BLOCK_ROWS = 1 << 15
 _NL, _QUOTE, _COMMA, _SPACE, _DOT, _ZERO, _Z = (ord(c) for c in '\n", .0Z')
-# YYYY-MM-DDTHH:MM:SS, optionally followed by Z.
-_TS_WIDTH = 19
-_TS_SEP_POS = np.array([4, 7, 10, 13, 16])
-_TS_SEP_BYTES = np.frombuffer(b"--T::", dtype=np.uint8)[:, None]
-_TS_DIGIT_POS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+# YYYY-MM-DDTHH:MM:SS, optionally followed by Z: the date's 10 bytes, then the clock.
+_TS_WIDTH, _DATE_WIDTH = 19, 10
+_TS_SEPS = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)[:, None]
+_DATE_SEP_POS, _DATE_DIGIT_POS = np.array([4, 7]), np.array([0, 1, 2, 3, 5, 6, 8, 9])
+_CLOCK_SEP_POS, _CLOCK_DIGIT_POS = np.array([10, 13, 16]), np.array([11, 12, 14, 15, 17, 18])
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
 # digits[.digits] with at most 15 digits: int / 10**k then equals float(text).
 _GLUCOSE_DIGITS = 15
@@ -120,20 +120,27 @@ def _line_ends(buf, pos: int, rows: int) -> np.ndarray:
 def _epoch_seconds(stamp):
     """UTC epoch seconds of YYYY-MM-DDTHH:MM:SS rows (bytes as columns), or None.
 
-    Calendar ranges are checked as datetime.fromisoformat checks them.
+    Calendar ranges are checked as datetime.fromisoformat checks them. A
+    date is decoded only where it differs from the row before.
     """
-    digits = stamp[_TS_DIGIT_POS] - _ZERO  # uint8: bytes below "0" wrap past 9
-    if not ((stamp[_TS_SEP_POS] == _TS_SEP_BYTES).all() and (digits <= 9).all()):
+    head = np.ones(stamp.shape[1], dtype=bool)
+    head[1:] = (stamp[:_DATE_WIDTH, 1:] != stamp[:_DATE_WIDTH, :-1]).any(axis=0)
+    date = stamp[:_DATE_WIDTH, head]
+    d = date[_DATE_DIGIT_POS] - _ZERO  # uint8: bytes below "0" wrap past 9
+    c = stamp[_CLOCK_DIGIT_POS] - _ZERO
+    if not ((date[_DATE_SEP_POS] == _TS_SEPS[_DATE_SEP_POS]).all() and (d <= 9).all()
+            and (stamp[_CLOCK_SEP_POS] == _TS_SEPS[_CLOCK_SEP_POS]).all() and (c <= 9).all()):
         return None
-    d = digits.astype(np.int32)
+    d, c = d.astype(np.int32), c.astype(np.int32)
     year = ((d[0] * 10 + d[1]) * 10 + d[2]) * 10 + d[3]
-    month, day, hour, minute, second = (d[k] * 10 + d[k + 1] for k in range(4, 14, 2))
+    month, day = d[4] * 10 + d[5], d[6] * 10 + d[7]
+    hour, minute, second = (c[k] * 10 + c[k + 1] for k in range(0, 6, 2))
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
     if not (
-        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        & (hour <= 23) & (minute <= 59) & (second <= 59)
-    ).all():
+        ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)).all()
+        and ((hour <= 23) & (minute <= 59) & (second <= 59)).all()
+    ):
         return None
     # Days from the civil date (proleptic Gregorian, years starting in March).
     y = year - (month <= 2)
@@ -141,7 +148,8 @@ def _epoch_seconds(stamp):
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    return days.astype(np.int64) * SECONDS_PER_DAY + (hour * 3600 + minute * 60 + second)
+    return (days.astype(np.int64)[np.cumsum(head) - 1] * SECONDS_PER_DAY
+            + (hour * 3600 + minute * 60 + second))
 
 
 def _decode_glucose(text, length):
@@ -232,14 +240,15 @@ def _parse_columns(data: bytes):
         if block is None:
             return None
         keys, block_times, block_glucose = block
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # Only the first key of each run of equal keys is looked up.
+        heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        unique, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
         local = np.empty(unique.size, dtype=np.int32)
         for u in np.argsort(first):
             local[u] = index.setdefault(bytes(unique[u]), len(index))
         stop = row + ends.size
-        times[row:stop], glucose[row:stop], codes[row:stop] = (
-            block_times, block_glucose, local[inverse]
-        )
+        times[row:stop], glucose[row:stop] = block_times, block_glucose
+        codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=keys.size))
         pos, row = int(ends[-1]) + 1, stop
     return [key.decode("ascii") for key in index], times, glucose, codes
 
@@ -298,8 +307,11 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
     records_in = np.bincount(codes, minlength=n)
     # lexsort is stable: among equal timestamps the first row in the file leads.
-    order = np.lexsort((times, codes))
-    codes, times, glucose = codes[order], times[order], glucose[order]
+    # On rows already grouped by subject in time order it is the identity.
+    step = codes[1:] - codes[:-1]
+    if not ((step > 0) | ((step == 0) & (times[1:] >= times[:-1]))).all():
+        order = np.lexsort((times, codes))
+        codes, times, glucose = codes[order], times[order], glucose[order]
     keep = np.ones(codes.size, dtype=bool)
     keep[1:] = (codes[1:] != codes[:-1]) | (times[1:] != times[:-1])
     kept = np.bincount(codes[keep], minlength=n)
@@ -329,6 +341,8 @@ def parse_labels(path) -> dict[str, int]:
         if len(row) != 2:
             raise ValueError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
         sid = row[0].strip()
+        if not sid:
+            raise ValueError(f"{path} line {line_no}: empty subject_id")
         raw = row[1].strip()
         if raw not in ("0", "1"):
             raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
@@ -340,12 +354,13 @@ def parse_labels(path) -> dict[str, int]:
     return labels
 
 
-def label_array(ids, labels: dict[str, int]) -> np.ndarray:
-    """The labels of `ids`, in order; the first id without one fails."""
+def label_array(ids, labels: dict[str, int], source=None) -> np.ndarray:
+    """The labels of `ids`, in order; the first id without one fails, naming source."""
     try:
         return np.array([labels[sid] for sid in ids], dtype=int)
     except KeyError as exc:
-        raise ValueError(f"no label for subject {exc.args[0]!r}") from None
+        where = f"{source}: " if source is not None else ""
+        raise ValueError(f"{where}no label for subject {exc.args[0]!r}") from None
 
 
 def filter_days(
@@ -426,7 +441,8 @@ def ingest_cohort(
     subjects = {}
     for s in series:
         st = stats[s.subject_id]
-        days_in = int(np.unique(s.times // SECONDS_PER_DAY).size)
+        # Times strictly increase, so each new day starts where the day changes.
+        days_in = 1 + int(np.count_nonzero(np.diff(s.times // SECONDS_PER_DAY)))
         filtered = filter_days(s, max_gap_minutes, gap_mode)
         excluded = filtered.retained_days < min_days
         n_filtered = filtered.n_records

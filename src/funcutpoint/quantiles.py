@@ -223,6 +223,8 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(expected):
             raise ValueError(f"curves file {path} line {line_no}: wrong column count")
+        if not row[0]:
+            raise ValueError(f"curves file {path} line {line_no}: empty subject_id")
         if row[0] in seen:
             raise ValueError(
                 f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"

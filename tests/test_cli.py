@@ -331,7 +331,8 @@ def test_classify_grid_mismatch(ingested, tmp_path, capsys):
         "--grid", str(curves_dir / "grid.json"), "--out", str(tmp_path / "o"),
     ])
     assert rc == 1
-    assert "grid mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: cutoff file {cutoff}: grid differs from grid file {curves_dir / 'grid.json'}\n")
 
 
 def test_simulate_repro_and_shape(tmp_path, capsys):
@@ -466,6 +467,62 @@ def test_duplicate_curve_ids_are_rejected(ingested, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"{dup} line 4: duplicate subject_id {sid!r}" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("scores", "subject_id,score\n,1.0\n"),
+    ("scores", "subject_id,score\n  ,1.0\n"),
+    ("labels", "subject_id,label\n,0\n"),
+    ("curves", "subject_id,rho_1,rho_2,rho_3\n,1,2,3\n"),
+])
+def test_empty_subject_id_is_rejected(tmp_path, capsys, kind, text):
+    """Every id column, like the series reader's, rejects an id that is
+    empty after the reader's strip (the curves reader strips nothing)."""
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_text(text)
+    scores, labels, grid = tmp_path / "scores.csv", tmp_path / "labels.csv", tmp_path / "g.json"
+    if kind != "scores":
+        scores.write_text("subject_id,score\na,1.0\n")
+    if kind != "labels":
+        write_labels_file(labels, {"a": 0, "": 1})
+    if kind == "curves":
+        grid.write_text(json.dumps({"m": 3, "points": [0.25, 0.5, 0.75]}))
+        argv = ["fit", "--curves", str(bad), "--grid", str(grid), "--labels", str(labels)]
+    else:
+        argv = ["fit", "--scores", str(scores), "--labels", str(labels)]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    name = f"curves file {bad}" if kind == "curves" else str(bad)
+    assert capsys.readouterr().err == f"error: {name} line 2: empty subject_id\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, route", [
+    (["fit"], "curves"),
+    (["fit"], "scores"),
+    (["bootstrap", "--B", "10"], "curves"),
+    (["bootstrap", "--B", "10"], "scores"),
+    (["roc"], "curves"),
+    (["classify"], "curves"),
+])
+def test_missing_label_names_the_labels_file(ingested, tmp_path, capsys, command, route):
+    curves_dir, labels = ingested
+    curves, grid = str(curves_dir / "curves.csv"), str(curves_dir / "grid.json")
+    partial = tmp_path / "labels_without_high.csv"
+    write_labels_file(partial, {"low": 0})
+    if route == "scores":
+        scores = tmp_path / "scores.csv"
+        scores.write_text("subject_id,score\nlow,0.5\nhigh,1.5\n")
+        args = ["--scores", str(scores)]
+    else:
+        args = ["--curves", curves, "--grid", grid]
+    if command == ["classify"]:
+        fit_out = tmp_path / "fit"
+        assert main(["fit", *args, "--labels", str(labels), "--out", str(fit_out)]) == 0
+        args += ["--cutoff", str(fit_out / "cutoff.json")]
+    rc = main(command + args + ["--labels", str(partial), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {partial}: no label for subject 'high'\n"
 
 
 @pytest.mark.parametrize("command", [["fit"], ["bootstrap", "--B", "10"], ["roc"]])

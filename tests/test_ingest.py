@@ -1,8 +1,9 @@
-from datetime import datetime
+import csv
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -326,17 +327,37 @@ def glucose_texts(draw, odd=False):
 
 
 ODD_IDS = [" s1", "s1 ", "", "é", "s,1", '"s1"']
+# Every subject of an ordered file starts here: the first rows of all
+# subjects share a date, and later ones cross midnight and 29 February.
+ORDERED_START = datetime(2024, 2, 28, 23, 0)
 
 
 @st.composite
-def series_files(draw):
-    """Series files, half of them wholly canonical, the rest with odd rows,
-    odd line endings, blank lines, a BOM or no final newline."""
-    odd = draw(st.booleans())
+def ordered_lines(draw, ids):
+    """Canonical rows in runs of one subject, each subject's rows in time
+    order. Steps run from 0 (a duplicate timestamp) to a day; a subject may
+    come back, later in time, after another subject's run; runs of 1 to 9
+    rows cross every small block size."""
+    lines, clock = [], {}
+    for sid in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6)):
+        for _ in range(draw(st.integers(1, 9))):
+            clock[sid] = clock.get(sid, 0) + draw(st.sampled_from([0, 1, 300, 3599, 86400]))
+            stamp = ORDERED_START + timedelta(seconds=clock[sid])
+            lines.append(f"{sid},{stamp:%Y-%m-%dT%H:%M:%S}{draw(st.sampled_from(['Z', '']))},"
+                         f"{draw(glucose_texts())}")
+    return lines
+
+
+@st.composite
+def series_files(draw, ordered=False):
+    """Series files. Unordered, half of them are wholly canonical and the
+    rest have odd rows, odd line endings, blank lines, a BOM or no final
+    newline. Ordered, they are canonical files of ordered_lines."""
+    odd = not ordered and draw(st.booleans())
     ids = draw(st.lists(st.sampled_from(["s1", "s2", "s10", "a b", "S1", "x" * 20]),
                         min_size=1, max_size=4))
-    lines = []
-    for _ in range(draw(st.integers(0, 40))):
+    lines = draw(ordered_lines(ids)) if ordered else []
+    for _ in range(0 if ordered else draw(st.integers(0, 40))):
         # An odd row has exactly one field in a non-canonical form.
         odd_field = draw(st.sampled_from(["id", "stamp", "glucose"])) if (
             odd and draw(st.integers(0, 7)) == 0) else None
@@ -397,10 +418,60 @@ def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, dat
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
 
-def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
-    def per_row(path):
-        raise AssertionError("per-row parser called")
+def grouped_in_time_order(path) -> bool:
+    """Whether each subject's rows form one run, in nondecreasing time."""
+    with open(path, newline="") as fh:
+        rows = [(sid, datetime.fromisoformat(stamp.rstrip("Z")).replace(tzinfo=timezone.utc))
+                for sid, stamp, _ in list(csv.reader(fh))[1:]]
+    runs = [sid for k, (sid, _) in enumerate(rows) if k == 0 or rows[k - 1][0] != sid]
+    return len(runs) == len(set(runs)) and all(
+        t <= u for (s, t), (r, u) in zip(rows, rows[1:]) if s == r)
 
+
+def per_row_refused(path):
+    raise AssertionError("per-row parser called")
+
+
+# Two subjects in order, sharing a date; with the last two rows swapped,
+# s1 comes back after s2's run.
+SWAP_EXAMPLE = (b"subject_id,timestamp,glucose\n"
+                b"s1,2024-02-28T23:00:00Z,100\n"
+                b"s1,2024-02-29T00:00:00,101\n"
+                b"s2,2024-02-28T23:00:00Z,102\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=series_files(ordered=True), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]),
+       swap=st.booleans())
+@example(data=SWAP_EXAMPLE, block_rows=2, swap=True)
+@pytest.mark.parametrize("per_row", [False, True])
+def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_row, data,
+                                                   block_rows, swap):
+    """Files already grouped by subject in time order skip the sort. A
+    subject coming back after another's run, or a swap of the last two
+    rows that puts them out of order, takes it. Both readers match the
+    per-row oracle either way."""
+    lines = data.rstrip(b"\n").split(b"\n")
+    if swap and len(lines) > 2:
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    if per_row:
+        monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
+    else:
+        monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
+    sorts, lexsort = [], np.lexsort
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        got = outcome(parse_series, path)
+    assert_same_outcome(got, outcome(parse_series_oracle, path))
+    assert len(sorts) == (0 if grouped_in_time_order(path) else 1)
+
+
+def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     path = tmp_path / "series.csv"
     path.write_bytes(
         b"subject_id,timestamp,glucose\n"
@@ -411,7 +482,7 @@ def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     )
     want = outcome(parse_series_oracle, path)
     with monkeypatch.context() as patch:
-        patch.setattr(ingest, "_parse_series_rows", per_row)
+        patch.setattr(ingest, "_parse_series_rows", per_row_refused)
         patch.setattr(ingest, "_BLOCK_ROWS", 2)
         got = outcome(parse_series, path)
     assert_same_outcome(got, want)
