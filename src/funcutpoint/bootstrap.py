@@ -22,12 +22,13 @@ from .cutpoint import (_chunks, candidates, optimize, pick, rates, sorted_sweeps
                        validate_sample, zero_candidate)
 from .ingest import label_array
 from .quantiles import curve_matrix, write_csv, write_json
-from .threshold import ThresholdFamily, standardise
+from .threshold import standardise
 
 __all__ = [
     "BootstrapConfig",
     "BootstrapSummary",
     "bootstrap_cutpoint",
+    "bootstrap_curves",
     "bootstrap_scalar",
     "write_bootstrap_summary_json",
     "write_curve_band_csv",
@@ -187,33 +188,37 @@ def _evaluate(cols, span, n, below, case_lt, present, criterion, grid_below, gri
     return i
 
 
-def bootstrap_cutpoint(
-    curves,
-    labels: dict[str, int],
+def bootstrap_cutpoint(curves, labels: dict[str, int], *args, threads: int = 1,
+                       **kwargs) -> BootstrapSummary:
+    """bootstrap_curves on a list of curves, with labels keyed by subject id."""
+    labels_arr = label_array([c.subject_id for c in curves], labels)
+    return bootstrap_curves(*curve_matrix(curves), labels_arr, *args, **kwargs)
+
+
+def bootstrap_curves(
+    grid: np.ndarray,
+    matrix: np.ndarray,
+    labels_arr: np.ndarray,
     criterion: str = "youden",
     cfg: BootstrapConfig = BootstrapConfig(),
     mu_mode: str = "pooled-mean",
     group: int = 0,
     with_sigma: bool = False,
     split_fraction: float | None = None,
-    threads: int = 1,
 ) -> BootstrapSummary:
-    """Bootstrap the functional cut-point (centrality re-estimated per
-    replicate).
+    """Bootstrap the functional cut-point of the n x m matrix of curves on
+    `grid` with labels `labels_arr` (centrality re-estimated per replicate).
 
     With split_fraction f, the first ceil(f*n) subjects of each resample
     estimate the centrality curve and the rest are scored against it;
     the point estimate itself is never split. Each replicate's margins come
     from threshold.standardise on its own resample; a chunk of them is then
-    sorted and swept at once (cutpoint.sorted_sweeps). Replicates run serially; `threads` is
-    accepted for compatibility and affects nothing.
+    sorted and swept at once (cutpoint.sorted_sweeps). Replicates run
+    serially. `matrix` is left unchanged.
     """
-    labels_arr = label_array([c.subject_id for c in curves], labels)
-    grid, matrix = curve_matrix(curves)
     n, m = matrix.shape
     # standardise works in place, and the matrix itself is resampled below.
-    mu, sigma, margins = standardise(matrix.copy(), labels_arr, mu_mode, group, with_sigma)
-    family = ThresholdFamily(grid, mu, sigma)
+    _, _, margins = standardise(matrix.copy(), labels_arr, mu_mode, group, with_sigma)
     point = optimize(margins, labels_arr, criterion)
     ref_grid = np.linspace(margins.min(), margins.max(), SWEEP_BAND_POINTS)
 
@@ -267,8 +272,7 @@ def bootstrap_cutpoint(
         cols["c_hat"][span] = c_hat = candidates(scores, values, i[:, None])[:, 0]
         cols["curve"][:, span] = (mus + c_hat[:, None] * sigmas).T
 
-    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg,
-                      curve_grid=family.grid)
+    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg, curve_grid=grid)
 
 
 def _count_sweeps(counts):

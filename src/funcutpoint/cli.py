@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bootstrap import (
     BootstrapConfig,
-    bootstrap_cutpoint,
+    bootstrap_curves,
     bootstrap_scalar,
     write_bootstrap_summary_json,
     write_curve_band_csv,
@@ -37,7 +37,6 @@ from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels, write_r
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
     csv_rows,
-    curve_matrix,
     default_grid,
     empirical_quantile,
     read_curves_csv,
@@ -52,10 +51,9 @@ from .simulate import SPREAD_MODES, U2_MODES, run_study, summarize_study, \
 from .threshold import (
     MU_MODES,
     ThresholdFamily,
-    classify,
     cutoff_curve,
-    margin_vector,
     read_cutoff_json,
+    row_margins,
     standardise,
     write_cutoff_json,
 )
@@ -175,6 +173,13 @@ def _read_scores(scores_path, column: str, labels_path):
     return ids, np.asarray(values), label_array(ids, parse_labels(labels_path), labels_path)
 
 
+def _read_curves(args):
+    """The grid, the n x m matrix of --curves and the labels of its rows."""
+    grid = read_grid_json(args.grid)
+    ids, matrix = read_curves_csv(args.curves, grid)
+    return grid, matrix, label_array(ids, parse_labels(args.labels), args.labels)
+
+
 def _scored_sample(args):
     """(family, scores, labels) in file order: the fitted family and each
     curve's margin on the functional route; None and the scores, negated
@@ -182,10 +187,7 @@ def _scored_sample(args):
     if args.scores:
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         return None, (-scores if args.direction == "low" else scores), labels_arr
-    curves = read_curves_csv(args.curves, read_grid_json(args.grid))
-    grid, matrix = curve_matrix(curves)
-    labels_arr = label_array([c.subject_id for c in curves], parse_labels(args.labels),
-                             args.labels)
+    grid, matrix, labels_arr = _read_curves(args)
     mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
                                     args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
@@ -211,8 +213,8 @@ def _ingest(args, out_dir: Path, labels_path):
 def cmd_ingest(args, out_dir: Path) -> None:
     kept = _ingest(args, out_dir, args.labels)
     grid = default_grid(args.grid_size)
-    curves = [empirical_quantile(s.values, grid, s.subject_id) for s in kept]
-    write_curves_csv(out_dir / "curves.csv", curves)
+    write_curves_csv(out_dir / "curves.csv", [s.subject_id for s in kept],
+                     np.vstack([empirical_quantile(s.values, grid).values for s in kept]))
     write_grid_json(out_dir / "grid.json", grid)
 
 
@@ -245,16 +247,12 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
                           max_redraws=args.max_redraws)
     try:
         if args.curves:
-            curves = read_curves_csv(args.curves, read_grid_json(args.grid))
-            labels = parse_labels(args.labels)
-            label_array([c.subject_id for c in curves], labels, args.labels)  # names the file
-            summary = bootstrap_cutpoint(
-                curves, labels, args.criterion, cfg,
+            summary = bootstrap_curves(
+                *_read_curves(args), args.criterion, cfg,
                 mu_mode=args.mu_mode,
                 group=args.group,
                 with_sigma=args.with_sigma,
                 split_fraction=args.split_fraction,
-                threads=args.threads,
             )
             write_curve_band_csv(out_dir / "curve_band.csv", summary)
         else:
@@ -274,14 +272,14 @@ def cmd_classify(args, out_dir: Path) -> None:
     grid = read_grid_json(args.grid)
     if not np.array_equal(grid, family.grid):
         raise ValueError(f"cutoff file {args.cutoff}: grid differs from grid file {args.grid}")
-    margins = margin_vector(read_curves_csv(args.curves, grid), family)
-    predictions = classify(margins, c_hat)
+    ids, matrix = read_curves_csv(args.curves, grid)
+    margins = row_margins(matrix, family)
+    # Python int cells: write_csv writes a bool as True and a numpy int as a float.
     write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
-              ([sid, float(margins[sid]), predictions[sid]] for sid in margins))
+              zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))
     if args.labels:
-        scores = np.array(list(margins.values()))
-        labels_arr = label_array(margins, parse_labels(args.labels), args.labels)
-        sens, spec, youden = confusion_at(scores, labels_arr, c_hat)
+        labels_arr = label_array(ids, parse_labels(args.labels), args.labels)
+        sens, spec, youden = confusion_at(margins, labels_arr, c_hat)
         write_json(out_dir / "metrics.json", {
             "c_hat": c_hat,
             "criterion": criterion,

@@ -46,6 +46,14 @@ def check_grid(grid) -> np.ndarray:
     return g
 
 
+def check_curve_values(values: np.ndarray) -> None:
+    """Fails unless the quantile values are finite and nondecreasing."""
+    if np.any(~np.isfinite(values)):
+        raise ValueError("curve values must be finite")
+    if np.any(np.diff(values) < 0.0):
+        raise ValueError("quantile curve must be nondecreasing")
+
+
 @dataclass(frozen=True)
 class QuantileCurve:
     """A subject's distribution as quantile values on a probability grid.
@@ -65,10 +73,7 @@ class QuantileCurve:
         values = np.asarray(self.values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError("curve values and grid must have equal length")
-        if np.any(~np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("quantile curve must be nondecreasing")
+        check_curve_values(values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -203,19 +208,17 @@ def curve_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.vstack([c.values for c in curves])
 
 
-def write_curves_csv(path, curves) -> None:
-    """Wide CSV: subject_id,rho_1,...,rho_m. Grid goes in a sidecar JSON."""
-    curves = list(curves)
-    grid, matrix = curve_matrix(curves)
-    write_csv(path, ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)],
-              ([c.subject_id] + values for c, values in zip(curves, matrix.tolist())))
+def write_curves_csv(path, ids, matrix) -> None:
+    """Wide CSV: subject_id,rho_1,...,rho_m, one row per id. Grid goes in a sidecar JSON."""
+    write_csv(path, ["subject_id"] + [f"rho_{k}" for k in range(1, matrix.shape[1] + 1)],
+              ([sid] + values for sid, values in zip(ids, matrix.tolist())))
 
 
-def read_curves_csv(path, grid) -> list[QuantileCurve]:
+def read_curves_csv(path, grid) -> tuple[list[str], np.ndarray]:
+    """The ids of a curves file on `grid` and its n x m matrix of values, in file order."""
     grid = check_grid(grid)
     expected = ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)]
-    curves = []
-    seen = set()
+    rows = {}
     reader = csv_rows(path, f"curves file {path}")
     header = next(reader, None)
     if header != expected:
@@ -225,11 +228,10 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
             raise ValueError(f"curves file {path} line {line_no}: wrong column count")
         if not row[0]:
             raise ValueError(f"curves file {path} line {line_no}: empty subject_id")
-        if row[0] in seen:
+        if row[0] in rows:
             raise ValueError(
                 f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"
             )
-        seen.add(row[0])
         try:
             values = np.array([float(v) for v in row[1:]])
         except ValueError as exc:
@@ -237,9 +239,10 @@ def read_curves_csv(path, grid) -> list[QuantileCurve]:
                 f"curves file {path} line {line_no}: non-numeric value"
             ) from exc
         try:
-            curves.append(QuantileCurve(row[0], grid, values))
+            check_curve_values(values)
         except ValueError as exc:
             raise ValueError(f"curves file {path} line {line_no}: {exc}") from None
-    if not curves:
+        rows[row[0]] = values
+    if not rows:
         raise ValueError(f"curves file {path}: no data rows")
-    return curves
+    return list(rows), np.vstack(list(rows.values()))

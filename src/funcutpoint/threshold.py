@@ -23,6 +23,7 @@ __all__ = [
     "estimate_mu",
     "margin",
     "margin_vector",
+    "row_margins",
     "classify",
     "cutoff_curve",
     "write_cutoff_json",
@@ -142,9 +143,13 @@ def margin_vector(curves: list[QuantileCurve], family: ThresholdFamily) -> dict[
     grid, matrix = curve_matrix(curves)
     if grid.shape != family.grid.shape or np.any(grid != family.grid):
         raise ValueError("grid mismatch")
+    return dict(zip([c.subject_id for c in curves], row_margins(matrix, family).tolist()))
+
+
+def row_margins(matrix: np.ndarray, family: ThresholdFamily) -> np.ndarray:
+    """Each row's margin against the family, standardising `matrix` in place."""
     matrix -= family.mu
-    margins = _row_minima(matrix, family.sigma)
-    return dict(zip([c.subject_id for c in curves], margins.tolist()))
+    return _row_minima(matrix, family.sigma)
 
 
 def margin(curve: QuantileCurve, family: ThresholdFamily) -> float:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint.cli import _read_scores, main
 from funcutpoint.cutpoint import roc_points
-from funcutpoint.quantiles import default_grid, read_curves_csv, read_grid_json
+from funcutpoint.quantiles import (QuantileCurve, default_grid, read_curves_csv, read_grid_json,
+                                   write_curves_csv, write_grid_json)
 from funcutpoint.threshold import ThresholdFamily, read_cutoff_json, write_cutoff_json
 
 SEED = 20240820
@@ -73,8 +74,9 @@ def test_ingest_artifacts(ingested):
         assert (out / name).exists(), name
     grid = read_grid_json(out / "grid.json")
     assert grid.size == 100
-    curves = read_curves_csv(out / "curves.csv", grid)
-    assert {c.subject_id for c in curves} == {"low", "high"}
+    ids, matrix = read_curves_csv(out / "curves.csv", grid)
+    assert set(ids) == {"low", "high"}
+    assert matrix.shape == (2, 100)
     report = json.loads((out / "report.json").read_text())
     assert report["subjects"]["low"]["retained_days"] == 2
     assert report["subjects"]["low"]["excluded"] is False
@@ -394,6 +396,21 @@ def test_roc_functional(ingested, tmp_path):
     assert payload["n_cases"] == 1
     lines = (out / "roc.csv").read_text().splitlines()
     assert lines[0] == "fpr,tpr"
+
+
+def test_curve_commands_build_no_per_row_curves(ingested, tmp_path, monkeypatch):
+    """fit, bootstrap, roc and classify take each curves file as one
+    matrix and build no QuantileCurve."""
+    built = []
+    monkeypatch.setattr(QuantileCurve, "__post_init__", lambda self: built.append(self))
+    curves_dir, labels = ingested
+    inputs = ["--curves", str(curves_dir / "curves.csv"), "--grid", str(curves_dir / "grid.json"),
+              "--labels", str(labels)]
+    for command in (["fit"], ["bootstrap", "--B", "10"], ["roc"]):
+        assert main(command + inputs + ["--out", str(tmp_path / command[0])]) == 0
+    assert main(["classify", "--cutoff", str(tmp_path / "fit" / "cutoff.json"), *inputs,
+                 "--out", str(tmp_path / "classify")]) == 0
+    assert built == []
 
 
 def test_roc_scalar_known_value(tmp_path):
@@ -732,6 +749,55 @@ def test_fuzzed_input_file_is_one_error_line(fuzz_routes, tmp_path, capsys, kind
     assert rc in (1, 2)
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert str(path) in err
+
+
+CROSS_FILE_CASES = [(command, defect) for command in ("fit", "bootstrap", "roc", "classify")
+                    for defect in ("missing label", "grid size")] + [("classify", "cutoff grid")]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CROSS_FILE_CASES), m=st.integers(1, 5), data=st.data())
+def test_disagreeing_input_files_are_one_error_line(tmp_path, capsys, case, m, data):
+    """Files that are each valid but disagree (a curves id with no label,
+    a grid file whose point count differs from the curves header, a cutoff
+    fitted on another grid): main returns 1 with one error line naming a
+    file that takes part in the disagreement."""
+    command, defect = case
+    n = data.draw(st.integers(2, 6), label="n")
+    rows = data.draw(st.lists(st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m),
+                              min_size=n, max_size=n), label="rows")
+    ids = [f"s{i}" for i in range(n)]
+    curves, grid, labels, cutoff = (tmp_path / name for name in
+                                    ("curves.csv", "grid.json", "labels.csv", "cutoff.json"))
+    write_curves_csv(curves, ids, np.sort(np.array(rows), axis=1))
+    cutoff_grid = file_grid = default_grid(m)
+    labelled = ids
+    if defect == "missing label":
+        missing = data.draw(st.sets(st.sampled_from(ids), min_size=1, max_size=n - 1))
+        labelled = [sid for sid in ids if sid not in missing]
+        involved = [labels]
+    elif defect == "grid size":
+        file_grid = default_grid(data.draw(st.integers(1, 6).filter(lambda k: k != m)))
+        involved = [curves, grid] + ([cutoff] if command == "classify" else [])
+    else:
+        k = data.draw(st.integers(1, 6), label="cutoff points")
+        cutoff_grid = default_grid(k) if k != m else default_grid(m) / 2.0
+        involved = [cutoff, grid]
+    write_grid_json(grid, file_grid)
+    write_labels_file(labels, {sid: i % 2 for i, sid in enumerate(ids) if sid in labelled})
+    family = ThresholdFamily(cutoff_grid, np.zeros(cutoff_grid.size), np.ones(cutoff_grid.size))
+    write_cutoff_json(cutoff, family, 0.0, "youden")
+    argv = {"bootstrap": ["bootstrap", "--B", "5"],
+            "classify": ["classify", "--cutoff", str(cutoff)]}.get(command, [command])
+    out = tmp_path / "out"
+    rc = main(argv + ["--curves", str(curves), "--grid", str(grid), "--labels", str(labels),
+                      "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert any(str(path) in err for path in involved), err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

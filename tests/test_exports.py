@@ -44,6 +44,21 @@ def test_artifact_format_lives_in_quantiles():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+def test_cli_reads_curves_as_one_matrix():
+    """The CLI takes each curves file as one (ids, matrix) pair: it names
+    neither per-row QuantileCurve objects nor curve_matrix, which stacks them."""
+    tree = ast.parse((Path(funcutpoint.__file__).parent / "cli.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert names & {"QuantileCurve", "curve_matrix"} == set()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

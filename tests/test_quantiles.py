@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from funcutpoint import quantiles
 from funcutpoint.quantiles import (
     QuantileCurve,
     default_grid,
@@ -107,24 +108,42 @@ def test_curve_constructor_validation():
     assert curve.m == 4
 
 
+def assert_same_cells(got, want):
+    """Equal shapes and every cell equal bit for bit."""
+    assert got.shape == want.shape
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
 def test_curves_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(SEED + 5)
     grid = default_grid(12)
-    curves = [
-        QuantileCurve(f"s{i}", grid, np.sort(rng.normal(110.0, 18.0, 12)))
-        for i in range(5)
-    ]
+    ids = [f"s{i}" for i in range(5)]
+    matrix = np.sort(rng.normal(110.0, 18.0, (5, 12)), axis=1)
     csv_path = tmp_path / "curves.csv"
     grid_path = tmp_path / "grid.json"
-    write_curves_csv(csv_path, curves)
+    write_curves_csv(csv_path, ids, matrix)
     write_grid_json(grid_path, grid)
 
     got_grid = read_grid_json(grid_path)
     np.testing.assert_array_equal(got_grid, grid)
-    got = read_curves_csv(csv_path, got_grid)
-    assert [c.subject_id for c in got] == [c.subject_id for c in curves]
-    for a, b in zip(got, curves):
-        np.testing.assert_array_equal(a.values, b.values)
+    got_ids, got = read_curves_csv(csv_path, got_grid)
+    assert got_ids == ids
+    assert_same_cells(got, matrix)
+
+
+def test_curves_csv_checks_the_grid_once(tmp_path, monkeypatch):
+    """The reader checks the shared grid once per file, not once per row."""
+    calls = []
+    check_grid = quantiles.check_grid
+    monkeypatch.setattr(quantiles, "check_grid",
+                        lambda grid: calls.append(grid) or check_grid(grid))
+    grid = default_grid(4)
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, [f"s{i}" for i in range(6)], np.tile(np.arange(4.0), (6, 1)))
+    for _ in range(2):
+        ids, matrix = read_curves_csv(path, grid)
+    assert len(ids) == 6 and matrix.shape == (6, 4)
+    assert len(calls) == 2
 
 
 def test_curves_csv_rejects_wrong_header(tmp_path):
@@ -147,13 +166,13 @@ CURVE_VALUES = st.floats(-1e300, 1e300)
     min_size=1, max_size=8, unique_by=lambda row: row[0])))
 def test_curves_csv_round_trip_is_exact(tmp_path, rows):
     grid = default_grid(len(rows[0][1]))
-    curves = [QuantileCurve(sid, grid, np.sort(values)) for sid, values in rows]
+    ids = [sid for sid, _ in rows]
+    matrix = np.sort(np.array([values for _, values in rows]), axis=1)
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, curves)
-    got = read_curves_csv(path, grid)
-    assert [c.subject_id for c in got] == [c.subject_id for c in curves]
-    for a, b in zip(got, curves):
-        assert [v.hex() for v in a.values] == [v.hex() for v in b.values]
+    write_curves_csv(path, ids, matrix)
+    got_ids, got = read_curves_csv(path, grid)
+    assert got_ids == ids
+    assert_same_cells(got, matrix)
 
 
 @settings(max_examples=100, deadline=None,
@@ -180,6 +199,22 @@ def test_curves_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defec
     with pytest.raises(ValueError) as exc:
         read_curves_csv(path, default_grid(3))
     assert str(exc.value) == f"curves file {path} line {line_no}: {message}"
+
+
+def test_curves_csv_reports_the_first_bad_line_first(tmp_path):
+    """Each row is checked in full before the next is read: a decreasing
+    line 3 fails before a short line 5, and a row that is both non-finite
+    and decreasing fails as non-finite."""
+    path = tmp_path / "curves.csv"
+    header = "subject_id,rho_1,rho_2,rho_3\n"
+    path.write_text(header + "s1,1.0,2.0,3.0\ns2,3.0,2.0,1.0\ns3,1.0,1.0,1.0\ns4,1.0,2.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_curves_csv(path, default_grid(3))
+    assert str(exc.value) == f"curves file {path} line 3: quantile curve must be nondecreasing"
+    path.write_text(header + "s1,3.0,nan,1.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_curves_csv(path, default_grid(3))
+    assert str(exc.value) == f"curves file {path} line 2: curve values must be finite"
 
 
 def test_grid_json_shape(tmp_path):
