@@ -7,8 +7,8 @@ cut-points; pointwise bands cover the cutoff curve (in rho) and the
 sensitivity/specificity sweep (on a fixed reference c-grid).
 
 Replicate b draws only from its own seed substream (seed, b), so results
-are byte-identical across runs. Replicates run serially; the `threads`
-arguments are kept for compatibility and do not change the work.
+are byte-identical across runs. Replicates run serially; bootstrap_cutpoint
+keeps a `threads` keyword for its callers, which changes nothing.
 """
 
 from __future__ import annotations
@@ -298,7 +298,6 @@ def bootstrap_scalar(
     labels,
     criterion: str = "youden",
     cfg: BootstrapConfig = BootstrapConfig(),
-    threads: int = 1,
 ) -> BootstrapSummary:
     """Bootstrap a scalar-marker cut-point (scores fixed per subject).
 
@@ -307,8 +306,7 @@ def bootstrap_scalar(
     cumulative counts give the integer counts below each candidate that
     optimize divides: every rate, c_hat and band row is the same
     quotient, bit for bit. Replicates are drawn from their own substreams
-    in order and processed in chunks. `threads` is accepted for
-    compatibility and affects nothing.
+    in order and processed in chunks.
     """
     scores, labels_arr = validate_sample(scores, labels)
     point = optimize(scores, labels_arr, criterion)

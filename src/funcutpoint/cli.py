@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,11 @@ from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
 from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels, write_report_json
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
-    csv_rows,
     default_grid,
     empirical_quantile,
     read_curves_csv,
     read_grid_json,
+    subject_rows,
     write_csv,
     write_curves_csv,
     write_grid_json,
@@ -139,26 +140,19 @@ def _write_manifest(out_dir: Path, command: str, argv, seed: int, inputs, t0: fl
 
 
 def _read_scores(scores_path, column: str, labels_path):
-    ids = []
-    values = []
-    seen = set()
-    reader = csv_rows(scores_path, str(scores_path))
-    header = next(reader, None)
-    if not header or header[0].strip() != "subject_id":
-        raise ValueError(f"{scores_path}: first column must be subject_id")
-    names = [h.strip() for h in header]
-    if column not in names:
-        raise ValueError(f"{scores_path}: no column named {column!r}")
-    col = names.index(column)
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(names):
-            raise ValueError(f"{scores_path} line {line_no}: wrong column count")
-        sid = row[0].strip()
-        if not sid:
-            raise ValueError(f"{scores_path} line {line_no}: empty subject_id")
-        if sid in seen:
-            raise ValueError(f"{scores_path} line {line_no}: duplicate subject_id {sid!r}")
-        seen.add(sid)
+    col = 0
+
+    def check_header(header):
+        nonlocal col
+        names = [h.strip() for h in header]
+        if not names or names[0] != "subject_id":
+            raise ValueError(f"{scores_path}: first column must be subject_id")
+        if column not in names:
+            raise ValueError(f"{scores_path}: no column named {column!r}")
+        col = names.index(column)
+
+    ids, values = [], []
+    for line_no, sid, row in subject_rows(scores_path, str(scores_path), check_header):
         ids.append(sid)
         try:
             values.append(float(row[col]))
@@ -168,8 +162,6 @@ def _read_scores(scores_path, column: str, labels_path):
             ) from None
         if not np.isfinite(values[-1]):
             raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
-    if not ids:
-        raise ValueError(f"{scores_path}: no data rows")
     return ids, np.asarray(values), label_array(ids, parse_labels(labels_path), labels_path)
 
 
@@ -180,6 +172,16 @@ def _read_curves(args):
     return grid, matrix, label_array(ids, parse_labels(args.labels), args.labels)
 
 
+@contextmanager
+def _curves_arithmetic(curves_path):
+    """An overflow from the curves' values fails naming the curves file, with no numpy warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"curves file {curves_path}: values too large ({exc})") from None
+
+
 def _scored_sample(args):
     """(family, scores, labels) in file order: the fitted family and each
     curve's margin on the functional route; None and the scores, negated
@@ -188,8 +190,9 @@ def _scored_sample(args):
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         return None, (-scores if args.direction == "low" else scores), labels_arr
     grid, matrix, labels_arr = _read_curves(args)
-    mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
-                                    args.with_sigma)
+    with _curves_arithmetic(args.curves):
+        mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
+                                        args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
 
@@ -247,18 +250,19 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
                           max_redraws=args.max_redraws)
     try:
         if args.curves:
-            summary = bootstrap_curves(
-                *_read_curves(args), args.criterion, cfg,
-                mu_mode=args.mu_mode,
-                group=args.group,
-                with_sigma=args.with_sigma,
-                split_fraction=args.split_fraction,
-            )
+            curves = _read_curves(args)
+            with _curves_arithmetic(args.curves):
+                summary = bootstrap_curves(
+                    *curves, args.criterion, cfg,
+                    mu_mode=args.mu_mode,
+                    group=args.group,
+                    with_sigma=args.with_sigma,
+                    split_fraction=args.split_fraction,
+                )
             write_curve_band_csv(out_dir / "curve_band.csv", summary)
         else:
             _, scores, labels_arr = _scored_sample(args)
-            summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg,
-                                       threads=args.threads)
+            summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
     except ValueError as exc:
         if "degenerate sample" in str(exc):
             raise RuntimeError("bootstrap infeasible: class too rare") from None
@@ -298,7 +302,6 @@ def cmd_simulate(args, out_dir: Path) -> None:
         criteria=args.criteria,
         R=args.R,
         seed=args.seed,
-        threads=args.threads,
         v=args.v,
         grid=default_grid(args.grid_size),
         spread_mode=args.spread_mode,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantiles import csv_rows, write_json
+from .quantiles import subject_rows, write_json
 
 __all__ = [
     "SubjectSeries",
@@ -253,6 +253,14 @@ def _parse_columns(data: bytes):
     return [key.decode("ascii") for key in index], times, glucose, codes
 
 
+def _header_is(path, names):
+    """subject_rows' check_header for a file whose stripped header is `names`."""
+    def check_header(header):
+        if [h.strip() for h in header] != names:
+            raise ValueError(f"{path}: expected header {','.join(names)}")
+    return check_header
+
+
 def _parse_series_rows(path):
     """The per-row reader: the reference for every form and error message.
 
@@ -260,16 +268,8 @@ def _parse_series_rows(path):
     """
     index: dict[str, int] = {}
     times, glucose, codes = [], [], []
-    reader = csv_rows(path, str(path))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["subject_id", "timestamp", "glucose"]:
-        raise ValueError(f"{path}: expected header subject_id,timestamp,glucose")
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path} line {line_no}: expected 3 fields, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise ValueError(f"{path} line {line_no}: empty subject_id")
+    check_header = _header_is(path, ["subject_id", "timestamp", "glucose"])
+    for line_no, sid, row in subject_rows(path, str(path), check_header, unique=False):
         times.append(_parse_timestamp(row[1], path, line_no))
         try:
             g = float(row[2])
@@ -281,8 +281,6 @@ def _parse_series_rows(path):
             raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
         glucose.append(g)
         codes.append(index.setdefault(sid, len(index)))
-    if not index:
-        raise ValueError(f"{path}: no data rows")
     return (list(index), np.array(times, dtype=np.int64), np.array(glucose, dtype=float),
             np.array(codes, dtype=np.int32))
 
@@ -333,24 +331,12 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
 
 def parse_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    reader = csv_rows(path, str(path))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["subject_id", "label"]:
-        raise ValueError(f"{path}: expected header subject_id,label")
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise ValueError(f"{path} line {line_no}: expected 2 fields, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise ValueError(f"{path} line {line_no}: empty subject_id")
+    check_header = _header_is(path, ["subject_id", "label"])
+    for line_no, sid, row in subject_rows(path, str(path), check_header):
         raw = row[1].strip()
         if raw not in ("0", "1"):
             raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
-        if sid in labels:
-            raise ValueError(f"{path} line {line_no}: duplicate label for {sid!r}")
         labels[sid] = int(raw)
-    if not labels:
-        raise ValueError(f"{path}: no label rows")
     return labels
 
 

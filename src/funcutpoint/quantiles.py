@@ -50,7 +50,8 @@ def check_curve_values(values: np.ndarray) -> None:
     """Fails unless the quantile values are finite and nondecreasing."""
     if np.any(~np.isfinite(values)):
         raise ValueError("curve values must be finite")
-    if np.any(np.diff(values) < 0.0):
+    # A comparison, unlike np.diff, cannot overflow on values of opposite sign.
+    if np.any(values[1:] < values[:-1]):
         raise ValueError("quantile curve must be nondecreasing")
 
 
@@ -140,19 +141,41 @@ def load_json_object(path, kind: str, keys) -> dict:
     return payload
 
 
-def csv_rows(path, name: str):
-    """The rows of a CSV file, read lazily. A malformed record (csv.Error,
-    such as a field over the csv module's size limit) fails with a
-    ValueError naming `name`, the file as messages call it, and the line;
-    bytes that are not UTF-8 fail naming it."""
+def subject_rows(path, name: str, check_header, strip: bool = True, unique: bool = True):
+    """The data rows of a subject-keyed CSV file, read lazily, as (line,
+    subject id, fields); the header, which check_header(header) checks
+    (an empty file's is []), is line 1 and each record one line.
+
+    The id is the first field, stripped of spaces when `strip`. A row with
+    another field count than the header, an empty id, an id seen before
+    (when `unique`), a file without rows, a malformed record (csv.Error)
+    and bytes that are not UTF-8 fail with a ValueError naming `name`,
+    the file as messages call it, and the line.
+    """
+    seen = set()
+    line_no = 1
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            yield from reader
+            header = next(reader, [])
+            check_header(header)
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ValueError(f"{name} line {line_no}: expected {len(header)} fields, "
+                                     f"got {len(row)}")
+                sid = row[0].strip() if strip else row[0]
+                if not sid:
+                    raise ValueError(f"{name} line {line_no}: empty subject_id")
+                if unique and sid in seen:
+                    raise ValueError(f"{name} line {line_no}: duplicate subject_id {sid!r}")
+                seen.add(sid)
+                yield line_no, sid, row
         except csv.Error as exc:
             raise ValueError(f"{name} line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{name}: not UTF-8 text ({exc.reason})") from None
+    if line_no == 1:
+        raise ValueError(f"{name}: no data rows")
 
 
 def _is_number(value) -> bool:
@@ -217,32 +240,22 @@ def write_curves_csv(path, ids, matrix) -> None:
 def read_curves_csv(path, grid) -> tuple[list[str], np.ndarray]:
     """The ids of a curves file on `grid` and its n x m matrix of values, in file order."""
     grid = check_grid(grid)
+    name = f"curves file {path}"
     expected = ["subject_id"] + [f"rho_{k}" for k in range(1, grid.size + 1)]
+
+    def check_header(header):
+        if header != expected:
+            raise ValueError(f"{name}: header does not match grid")
+
     rows = {}
-    reader = csv_rows(path, f"curves file {path}")
-    header = next(reader, None)
-    if header != expected:
-        raise ValueError(f"curves file {path}: header does not match grid")
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(expected):
-            raise ValueError(f"curves file {path} line {line_no}: wrong column count")
-        if not row[0]:
-            raise ValueError(f"curves file {path} line {line_no}: empty subject_id")
-        if row[0] in rows:
-            raise ValueError(
-                f"curves file {path} line {line_no}: duplicate subject_id {row[0]!r}"
-            )
+    for line_no, sid, row in subject_rows(path, name, check_header, strip=False):
         try:
             values = np.array([float(v) for v in row[1:]])
         except ValueError as exc:
-            raise ValueError(
-                f"curves file {path} line {line_no}: non-numeric value"
-            ) from exc
+            raise ValueError(f"{name} line {line_no}: non-numeric value") from exc
         try:
             check_curve_values(values)
         except ValueError as exc:
-            raise ValueError(f"curves file {path} line {line_no}: {exc}") from None
-        rows[row[0]] = values
-    if not rows:
-        raise ValueError(f"curves file {path}: no data rows")
+            raise ValueError(f"{name} line {line_no}: {exc}") from None
+        rows[sid] = values
     return list(rows), np.vstack(list(rows.values()))

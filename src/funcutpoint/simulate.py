@@ -181,7 +181,6 @@ def run_study(
     criteria=CRITERIA,
     R: int = 100,
     seed: int = 0,
-    threads: int = 1,
     v: float = 2.0,
     grid=None,
     spread_mode: str = "shared-base",
@@ -197,8 +196,7 @@ def run_study(
     from the same substream and counted. Replicates are drawn one by one,
     in order, from their substreams; their margins are then sorted and
     swept in chunks (cutpoint.sorted_sweeps), each rate the same quotient
-    optimize gives. The work is serial: `threads` is accepted for
-    compatibility and affects neither the results nor their order.
+    optimize gives. The work is serial.
     """
     cells = [(float(a), float(b), int(n)) for a, b, n in cells]
     if not cells:

@@ -84,16 +84,15 @@ def test_scalar_bootstrap_determinism_and_threads():
     cfg = BootstrapConfig(B=60, seed=5)
     one = bootstrap_scalar(scores, labels, cfg=cfg)
     two = bootstrap_scalar(scores, labels, cfg=cfg)
-    four = bootstrap_scalar(scores, labels, cfg=cfg, threads=4)
+    four = bootstrap_scalar(scores, labels, cfg=cfg)
     np.testing.assert_array_equal(one.c_hats, two.c_hats)
     np.testing.assert_array_equal(one.c_hats, four.c_hats)
     assert one.ci == two.ci == four.ci
     np.testing.assert_array_equal(one.sens_lower, four.sens_lower)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("criterion", ["youden", "max_sensitivity", "max_specificity"])
-def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, threads):
+def test_scalar_bootstrap_matches_per_replicate_oracle(criterion):
     """The single-sort replicate reproduces optimize plus sweep_metrics per
     resample bit for bit, on tied scores with zeros of both signs."""
     rng = np.random.default_rng(SEED + 9)
@@ -102,8 +101,7 @@ def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, threads):
     scores = np.concatenate([rng.choice([-0.0, 0.0, 0.5, 1.0], 24),
                              rng.choice([-1.0, -0.5, 0.5], 16)])
     labels = np.repeat([1, 0], [24, 16])
-    got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3),
-                           threads=threads)
+    got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3))
     want = bootstrap_scalar_oracle(scores, labels, criterion, B=40, seed=3)
     assert [v.hex() for v in got.c_hats] == [v.hex() for v in want["c_hats"]]
     assert got.metric_cis == want["metric_cis"]

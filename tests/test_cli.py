@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint.cli import _read_scores, main
 from funcutpoint.cutpoint import roc_points
+from funcutpoint.ingest import parse_labels, parse_series
 from funcutpoint.quantiles import (QuantileCurve, default_grid, read_curves_csv, read_grid_json,
                                    write_curves_csv, write_grid_json)
 from funcutpoint.threshold import ThresholdFamily, read_cutoff_json, write_cutoff_json
@@ -830,6 +831,53 @@ def test_simulate_overflowing_cell_is_one_error_line(tmp_path, capsys, a, b, cel
     assert not (tmp_path / "s" / "study.csv").exists()
 
 
+def overflow_inputs(tmp_path, rows):
+    """A curves file of `rows` on a two-point grid, and labels a=0, b=1, c=1."""
+    curves, grid, labels = tmp_path / "curves.csv", tmp_path / "grid.json", tmp_path / "labels.csv"
+    curves.write_text("subject_id,rho_1,rho_2\n" + "".join(f"{row}\n" for row in rows))
+    grid.write_text(json.dumps({"m": 2, "points": [0.25, 0.75]}))
+    write_labels_file(labels, {"a": 0, "b": 1, "c": 1})
+    return curves, grid, labels
+
+
+@pytest.mark.parametrize("sigma", [[], ["--with-sigma"]])
+@pytest.mark.parametrize("command", [["fit"], ["roc"], ["bootstrap", "--B", "10"]])
+def test_overflowing_curves_are_one_error_line(tmp_path, capsys, command, sigma):
+    """Finite curves whose column mean overflows: one error line names the
+    curves file, and no numpy warning precedes it."""
+    curves, grid, labels = overflow_inputs(
+        tmp_path, ["a,1e308,1.7e308", "b,1.7e308,1.7e308", "c,1,2"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(command + sigma + ["--curves", str(curves), "--grid", str(grid),
+                                     "--labels", str(labels), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: curves file {curves}: values too large (overflow encountered in reduce)\n")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_classify_takes_opposite_sign_extremes_without_warnings(tmp_path, capsys):
+    """A curve from -1.7e308 to 1.7e308 is nondecreasing: classify checks
+    it without the overflow of a difference and writes its margin."""
+    good, grid, labels = overflow_inputs(tmp_path, ["a,1,2", "b,3,4", "c,2,5"])
+    assert main(["fit", "--curves", str(good), "--grid", str(grid), "--labels", str(labels),
+                 "--out", str(tmp_path / "fit")]) == 0
+    extreme = tmp_path / "extreme.csv"
+    extreme.write_text("subject_id,rho_1,rho_2\na,-1.7e308,1.7e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["classify", "--cutoff", str(tmp_path / "fit" / "cutoff.json"),
+                   "--curves", str(extreme), "--grid", str(grid),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "predictions.csv").read_text().splitlines()[1:] == [
+        "a,-1.7e+308,0"]
+
+
 def test_scores_file_with_blank_first_line_is_one_error_line(tmp_path, capsys):
     scores = tmp_path / "blank.csv"
     scores.write_text("\ns1,1\n")
@@ -874,8 +922,8 @@ def test_scores_csv_round_trip_is_exact(tmp_path, rows, position):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(2, 4), st.sampled_from([
     ("a,9.0", "duplicate subject_id 'a'"),
-    ("d", "wrong column count"),
-    ("d,1.0,2.0", "wrong column count"),
+    ("d", "expected 2 fields, got 1"),
+    ("d,1.0,2.0", "expected 2 fields, got 3"),
     ("d,abc", "non-numeric score 'abc'"),
     ("d,", "non-numeric score ''"),
     ("d,nan", "non-finite score 'nan'"),
@@ -894,6 +942,54 @@ def test_scores_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defec
     with pytest.raises(ValueError) as exc:
         _read_scores(scores, "score", labels)
     assert str(exc.value) == f"{scores} line {line_no}: {message}"
+
+
+# Each subject-keyed CSV reader: its header, two good rows and how it reads
+# a file (scores need a labels file, which the row faults never reach).
+ROW_READERS = {
+    "series": ("subject_id,timestamp,glucose",
+               ["a,2024-03-01T00:00:00Z,100", "b,2024-03-01T00:05:00Z,110"],
+               lambda path: parse_series(path)),
+    "labels": ("subject_id,label", ["a,0", "b,1"], lambda path: parse_labels(path)),
+    "scores": ("subject_id,score", ["a,0.5", "b,1.5"],
+               lambda path: _read_scores(path, "score", path.with_name("labels.csv"))),
+    "curves": ("subject_id,rho_1,rho_2", ["a,1.0,2.0", "b,1.5,2.5"],
+               lambda path: read_curves_csv(path, default_grid(2))),
+}
+# Each shared fault: line 3 of a file, made from the reader's second good
+# row (None drops every row; "\udcff" is written as the byte 0xff), and the
+# expected message.
+ROW_FAULTS = {
+    "width": (lambda row: row + ",9", "{name} line 3: expected {k} fields, got {k1}"),
+    "empty id": (lambda row: row[row.index(","):], "{name} line 3: empty subject_id"),
+    "duplicate id": (lambda row: "a" + row[row.index(","):],
+                     "{name} line 3: duplicate subject_id 'a'"),
+    "no rows": (None, "{name}: no data rows"),
+    "not UTF-8": (lambda row: "\udcff" + row, "{name}: not UTF-8 text (invalid start byte)"),
+    "csv.Error": (lambda row: row[:row.rindex(",") + 1] + "1" * 140_000,
+                  "{name} line 3: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("kind, fault", [
+    (kind, fault) for kind in ROW_READERS for fault in ROW_FAULTS
+    if (kind, fault) != ("series", "duplicate id")  # series rows repeat their id
+])
+def test_every_reader_applies_the_shared_row_rules(tmp_path, kind, fault):
+    """The four subject-keyed readers share one row rule and its messages:
+    the field count, a non-empty id, a unique id, at least one row, UTF-8
+    text and csv's own record errors, each naming the file and line."""
+    header, rows, read = ROW_READERS[kind]
+    make_line, message = ROW_FAULTS[fault]
+    path = tmp_path / f"{kind}.csv"
+    write_labels_file(tmp_path / "labels.csv", {"a": 0, "b": 1})
+    lines = [header] if make_line is None else [header, rows[0], make_line(rows[1])]
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    k = header.count(",") + 1
+    name = f"curves file {path}" if kind == "curves" else str(path)
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == message.format(name=name, k=k, k1=k + 1)
 
 
 def _golden_routes(ingested, scores_files, cohort_files, root):

@@ -44,6 +44,34 @@ def test_artifact_format_lives_in_quantiles():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+SHARED_ROW_MESSAGES = ("empty subject_id", "duplicate subject_id", "fields, got")
+
+
+def _row_rule_sites(path: Path):
+    """The top-level functions of a source file that read csv records
+    (csv.reader) or word a shared row-rule message, as "file:function"."""
+    sites = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and (node.value.id, node.attr) == ("csv", "reader"))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                        and any(alias.name == "reader" for alias in node.names))
+                    or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and any(m in node.value for m in SHARED_ROW_MESSAGES))):
+                sites.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_row_rules_live_in_the_shared_reader():
+    """Only quantiles.subject_rows reads CSV records and checks the row
+    rules every subject-keyed reader shares: field count, empty and
+    repeated ids (and so words their messages)."""
+    src = Path(funcutpoint.__file__).parent
+    sites = set().union(*(_row_rule_sites(path) for path in src.glob("*.py")))
+    assert sites == {"quantiles.py:subject_rows"}
+
+
 def test_cli_reads_curves_as_one_matrix():
     """The CLI takes each curves file as one (ids, matrix) pair: it names
     neither per-row QuantileCurve objects nor curve_matrix, which stacks them."""

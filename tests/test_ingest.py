@@ -118,8 +118,16 @@ def test_parse_labels(tmp_path):
 
     dup = tmp_path / "dup.csv"
     dup.write_text("subject_id,label\na,1\na,0\n")
-    with pytest.raises(ValueError, match="duplicate label"):
+    with pytest.raises(ValueError) as exc:
         parse_labels(dup)
+    assert str(exc.value) == f"{dup} line 3: duplicate subject_id 'a'"
+
+    # The id rules come before the label's own: a repeated id with a bad
+    # label fails as a duplicate, as in the curves and scores readers.
+    dup.write_text("subject_id,label\na,1\na,2\n")
+    with pytest.raises(ValueError) as exc:
+        parse_labels(dup)
+    assert str(exc.value) == f"{dup} line 3: duplicate subject_id 'a'"
 
 
 def test_full_day_is_retained():

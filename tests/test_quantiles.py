@@ -179,8 +179,8 @@ def test_curves_csv_round_trip_is_exact(tmp_path, rows):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(2, 4), st.sampled_from([
     ("s1,1.0,2.0,3.0", "duplicate subject_id 's1'"),
-    ("s9,1.0,2.0", "wrong column count"),
-    ("s9,1.0,2.0,3.0,4.0", "wrong column count"),
+    ("s9,1.0,2.0", "expected 4 fields, got 3"),
+    ("s9,1.0,2.0,3.0,4.0", "expected 4 fields, got 5"),
     ("s9,1.0,abc,3.0", "non-numeric value"),
     ("s9,1.0,,3.0", "non-numeric value"),
     ("s9,1.0,nan,3.0", "curve values must be finite"),

