@@ -122,9 +122,15 @@ def _criteria_list(text: str):
     return names
 
 
+# Inputs are hashed in chunks of this many bytes, not read whole again.
+_HASH_CHUNK = 1 << 20
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -173,13 +179,13 @@ def _read_curves(args):
 
 
 @contextmanager
-def _curves_arithmetic(curves_path):
-    """An overflow from the curves' values fails naming the curves file, with no numpy warning."""
+def _file_arithmetic(kind: str, path):
+    """An overflow from a file's values fails naming the file, with no numpy warning."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        raise ValueError(f"curves file {curves_path}: values too large ({exc})") from None
+        raise ValueError(f"{kind} file {path}: values too large ({exc})") from None
 
 
 def _scored_sample(args):
@@ -190,7 +196,7 @@ def _scored_sample(args):
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         return None, (-scores if args.direction == "low" else scores), labels_arr
     grid, matrix, labels_arr = _read_curves(args)
-    with _curves_arithmetic(args.curves):
+    with _file_arithmetic("curves", args.curves):
         mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
                                         args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
@@ -251,7 +257,7 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
     try:
         if args.curves:
             curves = _read_curves(args)
-            with _curves_arithmetic(args.curves):
+            with _file_arithmetic("curves", args.curves):
                 summary = bootstrap_curves(
                     *curves, args.criterion, cfg,
                     mu_mode=args.mu_mode,
@@ -262,7 +268,8 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
             write_curve_band_csv(out_dir / "curve_band.csv", summary)
         else:
             _, scores, labels_arr = _scored_sample(args)
-            summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
+            with _file_arithmetic("scores", args.scores):
+                summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
     except ValueError as exc:
         if "degenerate sample" in str(exc):
             raise RuntimeError("bootstrap infeasible: class too rare") from None

@@ -13,7 +13,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .quantiles import subject_rows, write_json
 
@@ -88,59 +87,81 @@ def _parse_timestamp(raw: str, path, line_no: int) -> int:
 # and every error message, goes through the per-row reader.
 _HEADER = b"subject_id,timestamp,glucose\n"
 # Rows decoded per block: bounds the per-block temporaries.
-_BLOCK_ROWS = 1 << 15
+_BLOCK_ROWS = 1 << 13
 _NL, _QUOTE, _COMMA, _SPACE, _DOT, _ZERO, _Z = (ord(c) for c in '\n", .0Z')
-# YYYY-MM-DDTHH:MM:SS, optionally followed by Z: the date's 10 bytes, then the clock.
-_TS_WIDTH, _DATE_WIDTH = 19, 10
-_TS_SEPS = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)[:, None]
-_DATE_SEP_POS, _DATE_DIGIT_POS = np.array([4, 7]), np.array([0, 1, 2, 3, 5, 6, 8, 9])
-_CLOCK_SEP_POS, _CLOCK_DIGIT_POS = np.array([10, 13, 16]), np.array([11, 12, 14, 15, 17, 18])
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+# The shortest canonical line, "a,YYYY-MM-DDTHH:MM:SS,0\n", bounds the row count.
+_MIN_LINE = 24
+# A timestamp is read as three little-endian 64-bit words from 5 bytes before
+# it: "????,YYY" "Y-MM-DDT" "HH:MM:SS". XOR with _TS_PATTERN maps a digit to
+# its value and a separator to 0. Each byte x must then be at most its limit:
+# 9 for a digit, 0 for a separator, the largest tens digit of a month, day,
+# hour, minute or second, and 0x7F before the timestamp. All are exactly when
+# (x + 0x7F - limit) | x has no high bit set: a sum carries only past a set one.
+_TS_LEAD, _TS_WIDTH = 5, 19
+_TS_PATTERN = np.frombuffer(b"\0" * 5 + b"0000-00-00T00:00:00", dtype="<u8")[:, None]
+_TS_ADD = (0x7F - np.array([0x7F] * 5 + [9, 9, 9, 9, 0, 1, 9, 0, 3, 9, 0, 2, 9, 0, 5, 9, 0, 5, 9],
+                          dtype=np.uint8)).view("<u8")[:, None]
+_HIGH_BITS = 0x8080808080808080
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # digits[.digits] with at most 15 digits: int / 10**k then equals float(text).
 _GLUCOSE_DIGITS = 15
 _POW10 = np.array([float(10 ** k) for k in range(_GLUCOSE_DIGITS)])
 
 
-def _line_ends(buf, pos: int, rows: int) -> np.ndarray:
-    """Offsets of the newlines ending the next `rows` lines from pos.
-
-    A last line without a newline ends at len(buf).
-    """
-    span = 48 * rows  # first guess at the bytes of `rows` lines; doubled as needed
+def _row_separators(buf, pos: int, rows: int, span: int):
+    """(lines, 3) offsets of the two commas and the newline of each of the
+    next `rows` lines from pos (fewer at the end), found in one scan of
+    about `span` bytes; None when a line has other separators. A last line
+    without a newline ends at len(buf)."""
     while True:
-        ends = np.flatnonzero(buf[pos:pos + span] == _NL)[:rows] + pos
-        if ends.size == rows or pos + span >= buf.size:
+        seg = buf[pos:pos + span]
+        is_sep = seg == _NL
+        is_sep |= seg == _COMMA
+        at = np.flatnonzero(is_sep)[:3 * rows]
+        if at.size == 3 * rows or pos + span >= buf.size:
             break
         span *= 2
-    if ends.size < rows and buf[-1] != _NL:
-        ends = np.append(ends, buf.size)
-    return ends
-
-
-def _epoch_seconds(stamp):
-    """UTC epoch seconds of YYYY-MM-DDTHH:MM:SS rows (bytes as columns), or None.
-
-    Calendar ranges are checked as datetime.fromisoformat checks them. A
-    date is decoded only where it differs from the row before.
-    """
-    head = np.ones(stamp.shape[1], dtype=bool)
-    head[1:] = (stamp[:_DATE_WIDTH, 1:] != stamp[:_DATE_WIDTH, :-1]).any(axis=0)
-    date = stamp[:_DATE_WIDTH, head]
-    d = date[_DATE_DIGIT_POS] - _ZERO  # uint8: bytes below "0" wrap past 9
-    c = stamp[_CLOCK_DIGIT_POS] - _ZERO
-    if not ((date[_DATE_SEP_POS] == _TS_SEPS[_DATE_SEP_POS]).all() and (d <= 9).all()
-            and (stamp[_CLOCK_SEP_POS] == _TS_SEPS[_CLOCK_SEP_POS]).all() and (c <= 9).all()):
+    newline = seg[at] == _NL
+    if at.size < 3 * rows and buf[-1] != _NL:
+        at, newline = np.append(at, buf.size - pos), np.append(newline, True)
+    if at.size % 3 or not newline[2::3].all() or np.count_nonzero(newline) * 3 != at.size:
         return None
-    d, c = d.astype(np.int32), c.astype(np.int32)
+    return (at + pos).reshape(-1, 3)
+
+
+def _windows(buf, at, width: int):
+    """Rows of the `width` bytes from each (increasing) offset in at; bytes
+    past the end of buf read as zero."""
+    if at[-1] + width > buf.size:  # only a file's last lines run past its end
+        buf = np.concatenate([buf[at[0]:], np.zeros(width, dtype=np.uint8)])
+        at = at - at[0]
+    # One void item per window: the fancy index copies whole items.
+    items = np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+    return items[at].view(np.uint8).reshape(at.size, width)
+
+
+def _epoch_seconds(window):
+    """UTC epoch seconds of timestamp windows laid out as _TS_PATTERN, or None.
+    Calendar ranges are checked as datetime.fromisoformat checks them; a date
+    is decoded only where it differs from the row before."""
+    x = np.ascontiguousarray(window.view("<u8").T) ^ _TS_PATTERN
+    high = x + _TS_ADD
+    high |= x
+    if (high & _HIGH_BITS).any():
+        return None
+    year3 = x[0] >> 40  # the date is these three bytes and the next word
+    heads = np.flatnonzero(np.concatenate([[True], (year3[1:] != year3[:-1])
+                                           | (x[1, 1:] != x[1, :-1])]))
+    d = window[heads, _TS_LEAD:].T - np.int64(_ZERO)
     year = ((d[0] * 10 + d[1]) * 10 + d[2]) * 10 + d[3]
-    month, day = d[4] * 10 + d[5], d[6] * 10 + d[7]
-    hour, minute, second = (c[k] * 10 + c[k + 1] for k in range(0, 6, 2))
+    month, day = d[5] * 10 + d[6], d[8] * 10 + d[9]
+    # Each clock byte times 10 plus the next: hour, minute, second are bytes 0, 3, 6.
+    clock = x[2] * 10 + (x[2] >> 8)
+    hour = clock & 0xFF
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
-    if not (
-        ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)).all()
-        and ((hour <= 23) & (minute <= 59) & (second <= 59)).all()
-    ):
+    if not (((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)).all()
+            and (hour <= 23).all()):
         return None
     # Days from the civil date (proleptic Gregorian, years starting in March).
     y = year - (month <= 2)
@@ -148,109 +169,92 @@ def _epoch_seconds(stamp):
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    return (days.astype(np.int64)[np.cumsum(head) - 1] * SECONDS_PER_DAY
-            + (hour * 3600 + minute * 60 + second))
+    seconds = (hour * 60 + (clock >> 24 & 0xFF)) * 60 + (clock >> 48 & 0xFF)
+    return (np.repeat(days * SECONDS_PER_DAY, np.diff(heads, append=len(window)))
+            + seconds.view(np.int64))
 
 
 def _decode_glucose(text, length):
-    """float(text) of digits[.digits] fields (bytes as columns), or None."""
-    rows = length.size
-    inside = np.arange(text.shape[0])[:, None] < length
-    digit = text - _ZERO
-    is_digit = (digit <= 9) & inside
+    """float(text) of digits[.digits] fields, or None. text holds them
+    right-aligned, bytes as columns: column k is byte place[k] from the end."""
+    place = np.arange(text.shape[0], 0, -1)[:, None]
+    inside = place <= length
     is_dot = (text == _DOT) & inside
-    dot_at = is_dot.argmax(axis=0)
-    has_dot = is_dot[dot_at, np.arange(rows)]
-    if (
-        not np.array_equal(is_digit | is_dot, inside)
-        or is_dot.sum(axis=0).max() > 1
-        or (has_dot & ((dot_at == 0) | (dot_at == length - 1))).any()
-        or (length - has_dot).max() > _GLUCOSE_DIGITS
-    ):
+    dots = is_dot.sum(axis=0, dtype=np.uint8)
+    digit = text - _ZERO  # uint8: bytes below "0" wrap past 9
+    digit *= inside ^ is_dot  # 0 outside the field and at its dot
+    if (not (digit <= 9).all() or dots.max() > 1
+            or (is_dot[-1] | (is_dot & (place == length)).any(axis=0)).any()
+            or (length - dots).max() > _GLUCOSE_DIGITS):
         return None
-    number = np.zeros(rows, dtype=np.int64)
-    for k in range(text.shape[0]):
-        number = np.where(is_digit[k], number * 10 + digit[k], number)
-    return number / _POW10[np.where(has_dot, length - 1 - dot_at, 0)]
+    # The digits as one integer (exact below 2**53): a dot shifts nothing.
+    number = np.zeros(length.size)
+    for scale_k, digit_k in zip(np.where(is_dot, 1.0, 10.0), digit.astype(float)):
+        number *= scale_k
+        number += digit_k
+    if dots.any():
+        number /= _POW10[(place[:, 0] - 1) @ is_dot]
+    return number
 
 
-def _decode_block(seg, ends):
-    """Decode one block of lines; seg holds them without the last newline.
+def _decode_block(buf, pos: int, seps):
+    """Decode the lines from pos whose separators are seps: (ids as byte
+    columns, times, glucose), or None when a line is not canonical.
 
-    ends are the block-local newline offsets. Returns (id keys, times,
-    glucose) or None when a line is not in the canonical form.
+    The separators bound every field, and the timestamp and glucose decoders
+    check each of their bytes, so only ids need the printable, no-quote and
+    no-surrounding-space checks that make csv read every field as it is.
     """
-    rows = ends.size
-    commas = np.flatnonzero(seg == _COMMA)
-    if commas.size != 2 * rows or not np.array_equal(
-        np.searchsorted(commas, ends), 2 * np.arange(1, rows + 1)
-    ):
+    c1, c2, ends = seps.T
+    starts = np.concatenate([[pos], ends[:-1] + 1])
+    id_len, g_len = c1 - starts, ends - c2 - 1
+    if (id_len.min() < 1 or g_len.min() < 1 or g_len.max() > _GLUCOSE_DIGITS + 1
+            or not (c2 - c1 - 1 - (buf[c2 - 1] == _Z) == _TS_WIDTH).all()):
         return None
-    # Printable ASCII and newlines only, and no quote: csv splitting is then
-    # plain splitting on commas, and the only whitespace is the space.
-    if (
-        seg.max() > 0x7E
-        or np.count_nonzero(seg < 0x20) != rows - 1
-        or (seg == _QUOTE).any()
-    ):
+    ids = np.ascontiguousarray(_windows(buf, starts, int(id_len.max())).T)
+    inside = np.arange(len(ids))[:, None] < id_len
+    ids *= inside
+    if (not np.array_equal((ids - 0x20 < 0x5F) & (ids != _QUOTE), inside)
+            or (ids[0] == _SPACE).any() or (buf[c1 - 1] == _SPACE).any()):
         return None
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    c1, c2 = commas[0::2], commas[1::2]
-    id_len = c1 - starts
-    g_len = ends - c2 - 1
-    if (
-        id_len.min() == 0
-        or (seg[starts] == _SPACE).any()
-        or (seg[c1 - 1] == _SPACE).any()
-        or not np.array_equal(c2 - c1 - 1 - (seg[c2 - 1] == _Z), np.full(rows, _TS_WIDTH))
-        or g_len.min() < 1
-        or g_len.max() > _GLUCOSE_DIGITS + 1
-    ):
-        return None
-
-    id_width, g_width = int(id_len.max()), int(g_len.max())
-    padded = np.concatenate([seg, np.zeros(max(id_width, g_width), dtype=np.uint8)])
-    ids = sliding_window_view(padded, id_width)[starts]
-    ids[np.arange(id_width) >= id_len[:, None]] = 0
-    times = _epoch_seconds(sliding_window_view(padded, _TS_WIDTH)[c1 + 1].T)
-    glucose = _decode_glucose(sliding_window_view(padded, g_width)[c2 + 1].T, g_len)
-    if times is None or glucose is None:
-        return None
-    return ids.view(f"S{id_width}").ravel(), times, glucose
+    times = _epoch_seconds(_windows(buf, c1 + 1 - _TS_LEAD, _TS_LEAD + _TS_WIDTH))
+    g_width = int(g_len.max())
+    glucose = _decode_glucose(np.ascontiguousarray(_windows(buf, ends - g_width, g_width).T),
+                              g_len)
+    return None if times is None or glucose is None else (ids, times, glucose)
 
 
 def _parse_columns(data: bytes):
-    """Decode a canonical series file into (ids, times, glucose, codes).
-
-    codes index ids in first-appearance order. Returns None when the
-    file is not fully in the canonical form.
-    """
+    """Decode a canonical series file into (ids, times, glucose, codes), codes
+    indexing ids in first-appearance order; None unless wholly canonical."""
     if not data.startswith(_HEADER) or len(data) == len(_HEADER):
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    n_rows = data.count(b"\n", len(_HEADER)) + (data[-1] != _NL)
-    times = np.empty(n_rows, dtype=np.int64)
-    glucose = np.empty(n_rows, dtype=float)
-    codes = np.empty(n_rows, dtype=np.int32)
+    # No more rows fit; the pages past the rows decoded are never touched.
+    cap = (buf.size - len(_HEADER)) // _MIN_LINE + 1
+    times, glucose, codes = np.empty(cap, np.int64), np.empty(cap), np.empty(cap, np.int32)
     index: dict[bytes, int] = {}
-    pos, row = len(_HEADER), 0
+    pos, row, span = len(_HEADER), 0, 48 * _BLOCK_ROWS
     while pos < buf.size:
-        ends = _line_ends(buf, pos, _BLOCK_ROWS)
-        block = _decode_block(buf[pos:ends[-1]], ends - pos)
+        seps = _row_separators(buf, pos, _BLOCK_ROWS, span)
+        block = None if seps is None else _decode_block(buf, pos, seps)
         if block is None:
             return None
-        keys, block_times, block_glucose = block
-        # Only the first key of each run of equal keys is looked up.
-        heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        unique, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+        ids, block_times, block_glucose = block
+        # Only the first id of each run of equal ids is looked up.
+        heads = np.flatnonzero(np.concatenate([[True], (ids[:, 1:] != ids[:, :-1]).any(axis=0)]))
+        keys = np.ascontiguousarray(ids[:, heads].T).view(f"S{len(ids)}").ravel()
+        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         local = np.empty(unique.size, dtype=np.int32)
         for u in np.argsort(first):
             local[u] = index.setdefault(bytes(unique[u]), len(index))
-        stop = row + ends.size
+        stop = row + len(seps)
         times[row:stop], glucose[row:stop] = block_times, block_glucose
-        codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=keys.size))
-        pos, row = int(ends[-1]) + 1, stop
-    return [key.decode("ascii") for key in index], times, glucose, codes
+        codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
+        # The next scan spans this block's bytes and an eighth more.
+        end = int(seps[-1, 2]) + 1
+        pos, row, span = end, stop, (end - pos) * 9 // 8 + 64
+    return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
 
 
 def _header_is(path, names):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
+from funcutpoint import cli
 from funcutpoint.cli import _read_scores, main
 from funcutpoint.cutpoint import roc_points
 from funcutpoint.ingest import parse_labels, parse_series
@@ -105,6 +106,23 @@ def test_manifest_contents(ingested, cohort_files):
     assert manifest["inputs"][str(series)] == digest
     assert str(labels) in manifest["inputs"]
     assert "--nominal-interval" in manifest["argv"]
+
+
+def test_manifest_hashes_inputs_in_chunks(cohort_files, tmp_path, monkeypatch):
+    """Inputs are hashed chunk by chunk: the digests equal hashlib.sha256 of
+    the whole file for files longer than one chunk and not a multiple of it."""
+    series, labels = cohort_files
+    big = tmp_path / "big.bin"
+    big.write_bytes(np.random.default_rng(SEED).bytes(2 * cli._HASH_CHUNK + 123))
+    assert cli._sha256(big) == hashlib.sha256(big.read_bytes()).hexdigest()
+    monkeypatch.setattr(cli, "_HASH_CHUNK", 1000)
+    assert series.stat().st_size > 3000 and series.stat().st_size % 1000
+    out = tmp_path / "out"
+    assert main(["ingest", "--series", str(series), "--labels", str(labels),
+                 "--nominal-interval", "15", "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in (series, labels)}
 
 
 def fit_dir(ingested, tmp_path, name, extra_args=()):
@@ -855,6 +873,24 @@ def test_overflowing_curves_are_one_error_line(tmp_path, capsys, command, sigma)
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (
         f"error: curves file {curves}: values too large (overflow encountered in reduce)\n")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_scores_spanning_the_float_range_are_one_error_line(tmp_path, capsys):
+    """Finite scores whose span overflows: the scalar bootstrap fails with
+    one error line naming the scores file, and no numpy warning precedes it."""
+    scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+    scores.write_text("subject_id,score\na,-1.7e308\nb,1.7e308\nc,1\n")
+    write_labels_file(labels, {"a": 0, "b": 1, "c": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["bootstrap", "--B", "10", "--scores", str(scores), "--labels", str(labels),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: scores file {scores}: values too large (overflow encountered in subtract)\n")
+    assert not (tmp_path / "out" / "sweep_band.csv").exists()
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

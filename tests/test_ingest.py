@@ -497,7 +497,9 @@ def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     assert got[1]["b"] == {"records_in": 3, "deduped": 1, "clamped": 2}
 
 
-@pytest.mark.parametrize("line", [
+# Lines in other forms than the canonical one, each as the only data line
+# of a file unless it holds more. The column-wise decoder must decline all.
+OTHER_FORMS = [
     b"s1,2024-03-01T00:00:00+00:00,100",
     b"s1,2024-03-01T00:00:00.5Z,100",
     b"s1,2024-03-01T00:00:00Z,100\r",
@@ -509,7 +511,24 @@ def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     b"s1,2024-02-30T00:00:00Z,100",
     b"s1,2024-03-01T00:00:60Z,100",
     b"s\xc3\xa9,2024-03-01T00:00:00Z,100",
-])
+    # Control bytes and a quote inside an id: only the id's own checks see them.
+    b"s\t1,2024-03-01T00:00:00Z,100",
+    b"s\x001,2024-03-01T00:00:00Z,100",
+    b"s\x1f1,2024-03-01T00:00:00Z,100",
+    b"s\x7f1,2024-03-01T00:00:00Z,100",
+    b's"1,2024-03-01T00:00:00Z,100',
+    # Glucose with a dot first or last: float() reads both, csv too.
+    b"s1,2024-03-01T00:00:00Z,.5",
+    b"s1,2024-03-01T00:00:00Z,5.",
+    # Separators out of the comma, comma, newline order.
+    b"s1,2024-03-01T00:00:00Z,100\n\ns1,2024-03-01T00:05:00Z,101",
+    b"s1,2024-03-01T00:00:00Z,100,5",
+    b"s1,2024-03-01T00:00:00Z,100,s1,2024-03-01T00:05:00Z,101",
+    b"s1,2024-03-01T00:00:00Z\n100,s1,2024-03-01T00:05:00Z,101",
+]
+
+
+@pytest.mark.parametrize("line", OTHER_FORMS)
 def test_fast_path_declines_other_forms(tmp_path, monkeypatch, line):
     calls = []
     per_row = ingest._parse_series_rows
@@ -523,6 +542,64 @@ def test_fast_path_declines_other_forms(tmp_path, monkeypatch, line):
     monkeypatch.setattr(ingest, "_parse_series_rows", spy)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
     assert calls == [path]
+
+
+@pytest.mark.parametrize("line", [None] + OTHER_FORMS)
+def test_fast_path_on_files_without_final_newline(tmp_path, monkeypatch, line):
+    """A one-row file whose row is canonical but has no final newline is the
+    column-wise decoder's (line None); every other form is declined."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"subject_id,timestamp,glucose\n"
+                     + (line or b"s1,2024-03-01T00:00:00Z,100"))
+    per_row, calls = ingest._parse_series_rows, []
+    monkeypatch.setattr(ingest, "_parse_series_rows",
+                        lambda path: calls.append(path) or per_row(path))
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert calls == ([] if line is None else [path])
+
+
+ID_BYTES = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",')
+
+
+@st.composite
+def mixed_width_files(draw):
+    """Canonical files whose rows mix ids of 1 to 40 bytes (with inner
+    spaces) and glucose fields of 1 to 16 bytes, in any order."""
+    ids = draw(st.lists(
+        st.tuples(st.text(ID_BYTES, min_size=1, max_size=40), st.text(" " + ID_BYTES, max_size=3),
+                  st.text(ID_BYTES, max_size=1)).map(
+            lambda t: t[0] + (t[1] + t[2] if t[2] else "")).filter(lambda i: len(i) <= 40),
+        min_size=1, max_size=5, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        width = draw(st.integers(1, 16))
+        digits = str(draw(st.integers(0, 10 ** 15 - 1))).zfill(min(width, 15))[-min(width, 15):]
+        if width == 16 or (width > 2 and draw(st.booleans())):
+            cut = draw(st.integers(1, width - 2))
+            digits = digits[:cut] + "." + digits[cut:width - 1]
+        lines.append(f"{draw(st.sampled_from(ids))},{draw(timestamps())},{digits}")
+    return ("subject_id,timestamp,glucose\n" + "\n".join(lines)
+            + draw(st.sampled_from(["\n", ""]))).encode("ascii")
+
+
+# The 40-byte id's window, at the short last line, runs past the end of the file.
+LONG_ID_THEN_SHORT_LINE = (b"subject_id,timestamp,glucose\n" + b"x" * 40
+                           + b",2024-03-01T00:00:00Z,100\na,2024-03-01T00:05:00,5")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mixed_width_files(), block_rows=st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]))
+@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=2)
+@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=ingest._BLOCK_ROWS)
+def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, block_rows):
+    """Every row of a block is padded to its widest id and glucose field: the
+    column-wise decoder owns these files and matches the per-row oracle."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
 
 @settings(max_examples=200, deadline=None)
