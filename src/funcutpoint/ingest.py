@@ -109,10 +109,9 @@ _POW10 = np.array([float(10 ** k) for k in range(_GLUCOSE_DIGITS)])
 
 
 def _row_separators(buf, pos: int, rows: int, span: int):
-    """(lines, 3) offsets of the two commas and the newline of each of the
-    next `rows` lines from pos (fewer at the end), found in one scan of
-    about `span` bytes; None when a line has other separators. A last line
-    without a newline ends at len(buf)."""
+    """(lines, 3) offsets of the two commas and the newline of the next `rows`
+    lines from pos (fewer at the end; a last line may end at len(buf)), from
+    one scan of about `span` bytes; None when a line has other separators."""
     while True:
         seg = buf[pos:pos + span]
         is_sep = seg == _NL
@@ -130,8 +129,7 @@ def _row_separators(buf, pos: int, rows: int, span: int):
 
 
 def _windows(buf, at, width: int):
-    """Rows of the `width` bytes from each (increasing) offset in at; bytes
-    past the end of buf read as zero."""
+    """Rows of the `width` bytes from each (increasing) offset in at, zero past buf's end."""
     if at[-1] + width > buf.size:  # only a file's last lines run past its end
         buf = np.concatenate([buf[at[0]:], np.zeros(width, dtype=np.uint8)])
         at = at - at[0]
@@ -198,13 +196,11 @@ def _decode_glucose(text, length):
 
 
 def _decode_block(buf, pos: int, seps):
-    """Decode the lines from pos whose separators are seps: (ids as byte
-    columns, times, glucose), or None when a line is not canonical.
-
-    The separators bound every field, and the timestamp and glucose decoders
-    check each of their bytes, so only ids need the printable, no-quote and
-    no-surrounding-space checks that make csv read every field as it is.
-    """
+    """(ids as byte columns, times, glucose) of the lines from pos whose
+    separators are seps, or None when a line is not canonical. The separators
+    bound every field, and the timestamp and glucose decoders check each of
+    their bytes, so only ids need the printable, no-quote and no-surrounding-
+    space checks that make csv read every field as it is."""
     c1, c2, ends = seps.T
     starts = np.concatenate([[pos], ends[:-1] + 1])
     id_len, g_len = c1 - starts, ends - c2 - 1

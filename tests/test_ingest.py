@@ -558,22 +558,19 @@ def test_fast_path_on_files_without_final_newline(tmp_path, monkeypatch, line):
     assert calls == ([] if line is None else [path])
 
 
-ID_BYTES = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",')
+ID_BYTES = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '",')
 
 
 @st.composite
 def mixed_width_files(draw):
-    """Canonical files whose rows mix ids of 1 to 40 bytes (with inner
-    spaces) and glucose fields of 1 to 16 bytes, in any order."""
-    ids = draw(st.lists(
-        st.tuples(st.text(ID_BYTES, min_size=1, max_size=40), st.text(" " + ID_BYTES, max_size=3),
-                  st.text(ID_BYTES, max_size=1)).map(
-            lambda t: t[0] + (t[1] + t[2] if t[2] else "")).filter(lambda i: len(i) <= 40),
-        min_size=1, max_size=5, unique=True))
+    """Canonical files whose rows mix ids of 1 to 40 bytes (spaces only
+    inside) and glucose fields of 1 to 16 bytes, in any order."""
+    ids = draw(st.lists(st.text(ID_BYTES, min_size=1, max_size=40).filter(lambda i: i == i.strip()),
+                        min_size=1, max_size=5, unique=True))
     lines = []
     for _ in range(draw(st.integers(1, 30))):
         width = draw(st.integers(1, 16))
-        digits = str(draw(st.integers(0, 10 ** 15 - 1))).zfill(min(width, 15))[-min(width, 15):]
+        digits = draw(st.text("0123456789", min_size=min(width, 15), max_size=min(width, 15)))
         if width == 16 or (width > 2 and draw(st.booleans())):
             cut = draw(st.integers(1, width - 2))
             digits = digits[:cut] + "." + digits[cut:width - 1]
