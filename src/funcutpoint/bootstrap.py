@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutpoint import (_chunks, candidates, optimize, pick, rates, sorted_sweeps,
-                       validate_sample, zero_candidate)
+from .cutpoint import (_chunks, candidates, counted_sweeps, optimize, pick, rates, row_aucs,
+                       sorted_sweeps, validate_sample)
 from .ingest import label_array
 from .quantiles import curve_matrix, write_csv, write_json
 from .threshold import standardise
@@ -142,49 +142,25 @@ def _substream(seed: int, b: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
 
 
-def _row_aucs(sens, spec, present):
-    """np.trapezoid(sens[r, kept][::-1], (1 - spec[r, kept])[::-1]) for
-    every row r, where kept = present[r], with the same arithmetic.
-
-    np.trapezoid sums, in reverse candidate order, the terms
-    (fpr[i] - fpr[i + 1]) * (sens[i] + sens[i + 1]) / 2.0 with np.add.reduce;
-    reversing the terms of all rows at once leaves each row's terms
-    contiguous and in that order, so each row's sum is the same reduce.
-    The batched scalar bootstrap test checks it against np.trapezoid bit
-    for bit. It saves about 12 us per replicate over a np.trapezoid call
-    per row: the bootstrap-cohort scalar step (B = 2000) took 0.254 s
-    against 0.278 s in median of 10 alternating pairs, and was faster in 8.
-    """
-    s = sens[present]
-    fpr = 1.0 - spec[present]
-    terms = ((fpr[:-1] - fpr[1:]) * (s[:-1] + s[1:]) / 2.0)[::-1].copy()
-    sizes = present.sum(axis=1)
-    firsts = s.size - np.cumsum(sizes)
-    return np.array([np.add.reduce(terms[first:first + k - 1])
-                     for first, k in zip(firsts, sizes)])
-
-
-def _evaluate(cols, span, n, below, case_lt, present, criterion, grid_below, grid_case):
+def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols):
     """Record a chunk of exact sweeps; returns each row's optimal column.
 
-    Row r is one resample of n draws; column k holds the integer counts
-    optimize divides at one threshold: below[r, k] draws and
-    case_lt[r, k] case draws lie under it, and the last column, above every
-    draw, is the sentinel. present marks the candidates, grid_below and
-    grid_case the counts at the reference grid. Every rate is the same
-    quotient as optimize's.
+    Row r is one resample; column k holds the integer counts optimize
+    divides at one threshold: below[r, k] draws and case_lt[r, k] case
+    draws lie under it, and the last column, above every draw, is the
+    sentinel. present marks the candidates, grid_cols the columns of the
+    reference grid's thresholds. Every rate is the same quotient as
+    optimize's.
     """
-    n_case = case_lt[:, -1:]
-    sens, spec = rates(case_lt, below, n_case, n)
+    sens, spec = rates(below, case_lt)
     i = pick(sens, spec, criterion, present)
     rows = np.arange(i.size)
     cols["sensitivity"][span] = sens[rows, i]
     cols["specificity"][span] = spec[rows, i]
     cols["youden"][span] = sens[rows, i] + spec[rows, i] - 1.0
-    cols["auc"][span] = _row_aucs(sens, spec, present)
-    grid_sens, grid_spec = rates(grid_case, grid_below, n_case, n)
-    cols["sens"][:, span] = grid_sens.T
-    cols["spec"][:, span] = grid_spec.T
+    cols["auc"][span] = row_aucs(sens, spec, present)
+    cols["sens"][:, span] = np.take_along_axis(sens, grid_cols, axis=1).T
+    cols["spec"][:, span] = np.take_along_axis(spec, grid_cols, axis=1).T
     return i
 
 
@@ -266,31 +242,13 @@ def bootstrap_curves(
             lab[r] = lab_b[k_split:]
 
         values, case_lt, present = sorted_sweeps(scores, lab)
-        grid_below = np.array([np.searchsorted(v, ref_grid, side="left") for v in values])
-        i = _evaluate(cols, span, n_eval, np.arange(n_eval + 1), case_lt, present,
-                      criterion, grid_below, np.take_along_axis(case_lt, grid_below, axis=1))
-        cols["c_hat"][span] = c_hat = candidates(scores, values, i[:, None])[:, 0]
+        grid_cols = np.array([np.searchsorted(v, ref_grid, side="left") for v in values])
+        i = _evaluate(cols, span, np.arange(n_eval + 1), case_lt, present, criterion, grid_cols)
+        cols["c_hat"][span] = c_hat = candidates(values, present, i[:, None],
+                                                 lambda r: scores[r])[:, 0]
         cols["curve"][:, span] = (mus + c_hat[:, None] * sigmas).T
 
     return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg, curve_grid=grid)
-
-
-def _count_sweeps(counts):
-    """Counts of a chunk of resamples of a sorted sample, for _evaluate.
-
-    counts[r, k, y] is the number of draws of resample r whose score is the
-    k-th of the K distinct values and whose label is y. Column k < K is the
-    threshold at the k-th distinct value and column K the sentinel; present
-    marks the values drawn, plus the sentinel.
-    """
-    rows, K, _ = counts.shape
-    below = np.zeros((rows, K + 1), dtype=np.int64)
-    np.cumsum(counts.sum(axis=2), axis=1, out=below[:, 1:])
-    case_lt = np.zeros((rows, K + 1), dtype=np.int64)
-    np.cumsum(counts[:, :, 1], axis=1, out=case_lt[:, 1:])
-    present = np.ones((rows, K + 1), dtype=bool)
-    np.not_equal(below[:, 1:], below[:, :-1], out=present[:, :-1])
-    return below, case_lt, present
 
 
 def bootstrap_scalar(
@@ -305,61 +263,44 @@ def bootstrap_scalar(
     its draw counts per distinct value, for all draws and for cases, so
     cumulative counts give the integer counts below each candidate that
     optimize divides: every rate, c_hat and band row is the same
-    quotient, bit for bit. Replicates are drawn from their own substreams
-    in order and processed in chunks.
+    quotient, bit for bit, and cutpoint.candidates prints each c_hat.
+    Replicates are drawn from their substreams in order, in chunks.
     """
     scores, labels_arr = validate_sample(scores, labels)
-    point = optimize(scores, labels_arr, criterion)
     n = scores.size
+    # Before the point estimate, so a span that overflows is what fails.
     ref_grid = np.linspace(scores.min(), scores.max(), SWEEP_BAND_POINTS)
+    point = optimize(scores, labels_arr, criterion)
 
-    order = np.argsort(scores)
-    values = scores[order]
-    starts = np.concatenate(([True], values[1:] != values[:-1]))
-    distinct = values[starts]
+    # The sign of a zero in distinct is np.unique's; candidates gives each
+    # zero c_hat its resample's.
+    distinct, run = np.unique(scores, return_inverse=True)
     K = distinct.size
-    run = np.empty(n, dtype=np.intp)
-    run[order] = np.cumsum(starts) - 1
     code = 2 * run + labels_arr
     # All draws at the distinct values below a reference threshold lie
     # below it.
-    grid_cols = np.searchsorted(distinct, ref_grid, side="left")
-    # distinct holds the first zero of the sorted sample; a resample's zero
-    # candidate can differ only if the sample has zeros of both signs.
-    zero_signs = np.signbit(scores[scores == 0.0])
-    mixed_zeros = zero_signs.any() and not zero_signs.all()
-    zero = int(np.searchsorted(distinct, 0.0))
+    grid_cols = np.searchsorted(distinct, ref_grid, side="left")[None]
 
     def acceptable(idx) -> bool:
         lab = labels_arr[idx]
         return lab.min() != lab.max()
 
+    def draw(b):
+        return _draw_indices(_substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
+
     cols = _columns(cfg.B)
     for span in _chunks(cfg.B, K + 1):
         # Each replicate's draws are counted as they are drawn, so a chunk
         # holds K + 1 candidate columns per replicate, not n draws; the
-        # draws themselves are kept only where a zero candidate needs them.
+        # rare zero candidate draws its replicate's sample again.
         counts = np.empty((span.stop - span.start, K, 2), dtype=np.int64)
-        kept = []
         for r, b in enumerate(range(span.start, span.stop)):
-            idx, cols["fails"][b] = _draw_indices(
-                _substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
+            idx, cols["fails"][b] = draw(b)
             counts[r] = np.bincount(code[idx], minlength=2 * K).reshape(K, 2)
-            if mixed_zeros:
-                kept.append(idx)
-        below, case_lt, present = _count_sweeps(counts)
-        i = _evaluate(cols, span, n, below, case_lt, present, criterion,
-                      below[:, grid_cols], case_lt[:, grid_cols])
-        c_hat = distinct[np.minimum(i, K - 1)]
-        # The sentinel is the largest value drawn plus one.
-        sentinel = i == K
-        top = K - 1 - np.argmax(present[sentinel, K - 1::-1], axis=1)
-        c_hat[sentinel] = distinct[top] + 1.0
-        if mixed_zeros:
-            for r in np.flatnonzero(i == zero):
-                drawn = scores[kept[r]]
-                c_hat[r] = zero_candidate(drawn[drawn == 0.0], drawn)
-        cols["c_hat"][span] = c_hat
+        below, case_lt, present = counted_sweeps(counts)
+        i = _evaluate(cols, span, below, case_lt, present, criterion, grid_cols)
+        cols["c_hat"][span] = candidates(distinct[None], present, i[:, None],
+                                         lambda r: scores[draw(span.start + r)[0]])[:, 0]
 
     return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg)
 

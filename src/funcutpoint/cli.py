@@ -85,7 +85,7 @@ def _c_grid_type(text: str):
         raise argparse.ArgumentTypeError("c grid must be L:U:M numeric") from None
     if m < 1 or not lo <= hi:
         raise argparse.ArgumentTypeError("c grid needs L <= U and M >= 1")
-    return np.linspace(lo, hi, m)
+    return lo, hi, m
 
 
 def _float_list(text: str):
@@ -179,8 +179,10 @@ def _read_curves(args):
 
 
 @contextmanager
-def _file_arithmetic(kind: str, path):
-    """An overflow from a file's values fails naming the file, with no numpy warning."""
+def _file_arithmetic(args):
+    """An overflow from the values of --curves or --scores, or a top score with
+    no cut-off above it, fails naming that file, with no numpy warning."""
+    kind, path = ("curves", args.curves) if args.curves else ("scores", args.scores)
     try:
         with np.errstate(over="raise"):
             yield
@@ -196,7 +198,7 @@ def _scored_sample(args):
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         return None, (-scores if args.direction == "low" else scores), labels_arr
     grid, matrix, labels_arr = _read_curves(args)
-    with _file_arithmetic("curves", args.curves):
+    with _file_arithmetic(args):
         mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
                                         args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
@@ -229,8 +231,9 @@ def cmd_ingest(args, out_dir: Path) -> None:
 
 def cmd_fit(args, out_dir: Path) -> None:
     family, scores, labels_arr = _scored_sample(args)
-    result = optimize(scores, labels_arr, args.criterion,
-                      bounds=args.bounds, c_grid=args.c_grid)
+    c_grid = None if args.c_grid is None else np.linspace(*args.c_grid)
+    with _file_arithmetic(args):
+        result = optimize(scores, labels_arr, args.criterion, bounds=args.bounds, c_grid=c_grid)
     extra = {"n_subjects": int(labels_arr.size)}
     if family is not None:
         smoothed = None
@@ -255,20 +258,18 @@ def cmd_bootstrap(args, out_dir: Path) -> None:
     cfg = BootstrapConfig(B=args.B, alpha=args.alpha, seed=args.seed,
                           max_redraws=args.max_redraws)
     try:
-        if args.curves:
-            curves = _read_curves(args)
-            with _file_arithmetic("curves", args.curves):
+        with _file_arithmetic(args):
+            if args.curves:
                 summary = bootstrap_curves(
-                    *curves, args.criterion, cfg,
+                    *_read_curves(args), args.criterion, cfg,
                     mu_mode=args.mu_mode,
                     group=args.group,
                     with_sigma=args.with_sigma,
                     split_fraction=args.split_fraction,
                 )
-            write_curve_band_csv(out_dir / "curve_band.csv", summary)
-        else:
-            _, scores, labels_arr = _scored_sample(args)
-            with _file_arithmetic("scores", args.scores):
+                write_curve_band_csv(out_dir / "curve_band.csv", summary)
+            else:
+                _, scores, labels_arr = _scored_sample(args)
                 summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
     except ValueError as exc:
         if "degenerate sample" in str(exc):
@@ -335,7 +336,8 @@ def cmd_indices(args, out_dir: Path) -> None:
 
 def cmd_roc(args, out_dir: Path) -> None:
     _, scores, labels_arr = _scored_sample(args)
-    result = optimize(scores, labels_arr)
+    with _file_arithmetic(args):
+        result = optimize(scores, labels_arr)
     write_roc_csv(out_dir / "roc.csv", result)
     write_json(out_dir / "auc.json", {
         "auc": result.auc,
@@ -490,7 +492,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         args.handler(args, out_dir)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

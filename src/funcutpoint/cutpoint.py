@@ -22,7 +22,9 @@ __all__ = [
     "candidate_set",
     "sweep_metrics",
     "sorted_sweeps",
+    "counted_sweeps",
     "rates",
+    "row_aucs",
     "candidates",
     "zero_candidate",
     "pick",
@@ -108,10 +110,9 @@ def validate_sample(scores, labels):
 def confusion_at(scores, labels, c: float):
     """(sensitivity, specificity, youden) of the rule score >= c."""
     scores, labels = validate_sample(scores, labels)
-    cases = scores[labels == 1]
-    ctrls = scores[labels == 0]
-    sens = float(np.mean(cases >= c))
-    spec = float(np.mean(ctrls < c))
+    if np.isnan(c):
+        raise ValueError("c must not be NaN")
+    sens, spec = (float(v[0]) for v in sweep_metrics(scores, labels, [c]))
     return sens, spec, sens + spec - 1.0
 
 
@@ -181,34 +182,15 @@ def pick(sens, spec, criterion: str, present=None):
     return np.argmax(primary, axis=-1)
 
 
-def _result(criterion, cs, sens, spec, fpr, tpr) -> CutpointResult:
-    i = int(pick(sens, spec, criterion))
-    youden = sens + spec - 1.0
-    return CutpointResult(
-        criterion=criterion,
-        c_hat=float(cs[i]),
-        sensitivity=float(sens[i]),
-        specificity=float(spec[i]),
-        youden=float(youden[i]),
-        sweep_c=cs,
-        sweep_sensitivity=sens,
-        sweep_specificity=spec,
-        sweep_youden=youden,
-        roc_fpr=fpr,
-        roc_tpr=tpr,
-        auc=float(np.trapezoid(tpr, fpr)),
-    )
-
-
-def rates(case_lt, below, n_case, n):
-    """(sensitivity, specificity) of the rule score >= c at thresholds where
-    `below` scores, `case_lt` of them cases, lie under c, in a sample of n
-    scores, n_case of them cases (arrays broadcast, one row per sample).
-
+def rates(below, case_lt):
+    """(sensitivity, specificity) of the rule score >= c at every column of
+    a sweep, where below[..., k] scores, case_lt[..., k] of them cases, lie
+    under column k's threshold; the last column, above every score, counts
+    a sample's n scores and n_case cases (arrays broadcast, a row a sample).
     These are the integer counts sweep_metrics divides, over the same class
-    sizes, so the quotients are bit-identical to its own.
-    """
-    return (n_case - case_lt) / n_case, (below - case_lt) / (n - n_case)
+    sizes, so the quotients are bit-identical to its own."""
+    n_case = case_lt[..., -1:]
+    return (n_case - case_lt) / n_case, (below - case_lt) / (below[..., -1:] - n_case)
 
 
 def _chunks(count: int, width: int):
@@ -240,34 +222,86 @@ def sorted_sweeps(scores, labels):
     return values, cases_below, present
 
 
-def candidates(scores, values, cols):
-    """The candidates at columns cols[r, :] of row r of sorted_sweeps, as
-    candidate_set(scores[r]) prints them: the sorted score there, or the
-    row's max + 1 at the sentinel. +0.0 and -0.0 compare equal, so a zero
-    candidate takes zero_candidate's sign."""
-    rows, n = values.shape
-    flat = np.minimum(cols, n - 1)
-    flat += np.arange(0, rows * n, n)[:, None]
-    cs = values.ravel()[flat]
-    sentinel = cols == n
-    np.add(cs, 1.0, out=cs, where=sentinel)
+def counted_sweeps(counts):
+    """The sweeps of a chunk of resamples of one sorted sample, from counts.
+
+    counts[r, k, y] is the number of draws of resample r whose score is the
+    k-th of the K distinct values and whose label is y. Column k < K is the
+    threshold at the k-th distinct value and column K the sentinel. Returns
+    below and case_lt, the draws and case draws under each column, and
+    present, which marks the values drawn, plus the sentinel.
+    """
+    rows, K, _ = counts.shape
+    below = np.zeros((rows, K + 1), dtype=np.int64)
+    np.cumsum(counts.sum(axis=2), axis=1, out=below[:, 1:])
+    case_lt = np.zeros((rows, K + 1), dtype=np.int64)
+    np.cumsum(counts[:, :, 1], axis=1, out=case_lt[:, 1:])
+    present = np.ones((rows, K + 1), dtype=bool)
+    np.not_equal(below[:, 1:], below[:, :-1], out=present[:, :-1])
+    return below, case_lt, present
+
+
+def row_aucs(sens, spec, present):
+    """np.trapezoid(sens[r, kept][::-1], (1 - spec[r, kept])[::-1]) for
+    every row r, where kept = present[r], with the same arithmetic: the
+    trapezoidal area under each row's ROC.
+
+    np.trapezoid sums, in reverse candidate order, the terms
+    (fpr[i] - fpr[i + 1]) * (sens[i] + sens[i + 1]) / 2.0 with np.add.reduce;
+    reversing the terms of all rows at once leaves each row's terms
+    contiguous and in that order, so each row's sum is the same reduce.
+    The optimize and batched scalar bootstrap tests check it against
+    np.trapezoid bit for bit. It saves about 12 us per replicate over a
+    np.trapezoid call per row: the bootstrap-cohort scalar step (B = 2000)
+    took 0.254 s against 0.278 s in median of 10 alternating pairs, and was
+    faster in 8.
+    """
+    s = sens[present]
+    fpr = 1.0 - spec[present]
+    terms = ((fpr[:-1] - fpr[1:]) * (s[:-1] + s[1:]) / 2.0)[::-1].copy()
+    sizes = present.sum(axis=1)
+    firsts = s.size - np.cumsum(sizes)
+    return np.array([np.add.reduce(terms[first:first + k - 1])
+                     for first, k in zip(firsts, sizes)])
+
+
+def candidates(values, present, cols, sample_of):
+    """The candidates at columns cols[r, :] of row r of a sweep, as
+    candidate_set(sample_of(r)) prints them.
+
+    values holds the sorted values that columns 0..W-1 stand for, a row
+    per sweep (sorted_sweeps) or one row all share (counted_sweeps' distinct
+    values). Column W is the sentinel, the largest present value + 1; a row
+    where that rounds back to the value has no cut-off above it and fails
+    with FloatingPointError, whichever columns it asks for. +0.0 and -0.0
+    compare equal, so a zero takes zero_candidate's sign over sample_of(r),
+    asked for only then.
+    """
+    rows, width = present.shape[0], values.shape[1]
+    row = np.arange(rows) % len(values)  # 0 for every sweep when one row is shared
+    top = values[row, width - 1 - np.argmax(present[:, width - 1::-1], axis=1)]
+    above = top + 1.0
+    stuck = above <= top
+    if stuck.any():
+        raise FloatingPointError(f"no cut-off above the maximum score {float(top[stuck][0])!r}: "
+                                 "max + 1.0 rounds back to it")
+    cs = np.where(cols == width, above[:, None], values[row[:, None], np.minimum(cols, width - 1)])
     if (cs == 0.0).any():
-        for r, j in zip(*np.nonzero((cs == 0.0) & ~sentinel)):
-            run = values[r, cols[r, j]:np.searchsorted(values[r], 0.0, side="right")]
-            cs[r, j] = zero_candidate(run, scores[r])
+        for r, j in zip(*np.nonzero((cs == 0.0) & (cols < width))):
+            cs[r, j] = zero_candidate(sample_of(int(r)))
     return cs
 
 
-def zero_candidate(zeros, scores) -> float:
-    """The zero that candidate_set(scores) keeps, given the sample's zero
-    scores: their one sign, or np.unique's zero when both signs occur
-    (np.unique's sort, not argsort's, decides which comes first)."""
-    signs = np.signbit(zeros)
+def zero_candidate(sample) -> float:
+    """The zero that candidate_set(sample) keeps: the one sign of the
+    sample's zeros, or np.unique's zero when both signs occur (np.unique's
+    sort, not argsort's, decides which comes first)."""
+    signs = np.signbit(sample[sample == 0.0])
     if not signs.any():
         return 0.0
     if signs.all():
         return -0.0
-    distinct = np.unique(scores)
+    distinct = np.unique(sample)
     return distinct[np.searchsorted(distinct, 0.0)]
 
 
@@ -286,33 +320,51 @@ def optimize(
     the unrestricted candidate sweep; `bounds` and `c_grid` only restrict
     where c_hat may lie.
 
-    The sample is sorted once, as the one row of sorted_sweeps, so the
-    rates are the quotients sweep_metrics gives at the candidates.
+    The sample is the one row of sorted_sweeps: its rates at every column,
+    its candidates and its row AUC are what the batched callers read, and
+    every rate is the quotient sweep_metrics gives.
     """
     scores, labels = validate_sample(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    values, cases_below, present = (a[0] for a in sorted_sweeps(scores[None], labels[None]))
-    below = np.flatnonzero(present)
-    cs = candidates(scores[None], values[None], below[None])[0]
-    sens, spec = rates(cases_below[below], below, cases_below[-1], scores.size)
-    fpr, tpr = (1.0 - spec)[::-1], sens[::-1]
+    values, cases_below, present = sorted_sweeps(scores[None], labels[None])
+    sens, spec = rates(np.arange(scores.size + 1), cases_below)
+    auc = float(row_aucs(sens, spec, present)[0])
+    sens, spec = sens[0], spec[0]
+    at = np.flatnonzero(present[0])
+    cs = candidates(values, present, at[None], lambda r: scores)[0]
+    fpr, tpr = (1.0 - spec[at])[::-1], sens[at][::-1]
     if c_grid is not None:
         cs = np.asarray(c_grid, dtype=float)
         if cs.ndim != 1 or cs.size == 0:
             raise ValueError("c grid must be a nonempty 1-d array")
         cs = np.sort(cs)
-        below = np.searchsorted(values, cs, side="left")
-        sens, spec = rates(cases_below[below], below, cases_below[-1], scores.size)
+        at = np.searchsorted(values[0], cs, side="left")
     if bounds is not None:
         lo, hi = bounds
         if not lo <= hi:
             raise ValueError("bounds must satisfy l <= u")
         inside = (cs >= lo) & (cs <= hi)
-        cs, sens, spec = cs[inside], sens[inside], spec[inside]
+        cs, at = cs[inside], at[inside]
         if cs.size == 0:
             raise ValueError("no candidate cut-points inside bounds")
-    return _result(criterion, cs, sens, spec, fpr, tpr)
+    sens, spec = sens[at], spec[at]
+    youden = sens + spec - 1.0
+    i = int(pick(sens, spec, criterion))
+    return CutpointResult(
+        criterion=criterion,
+        c_hat=float(cs[i]),
+        sensitivity=float(sens[i]),
+        specificity=float(spec[i]),
+        youden=float(youden[i]),
+        sweep_c=cs,
+        sweep_sensitivity=sens,
+        sweep_specificity=spec,
+        sweep_youden=youden,
+        roc_fpr=fpr,
+        roc_tpr=tpr,
+        auc=auc,
+    )
 
 
 def write_sweep_csv(path, result: CutpointResult) -> None:

@@ -91,6 +91,8 @@ _BLOCK_ROWS = 1 << 13
 _NL, _QUOTE, _COMMA, _SPACE, _DOT, _ZERO, _Z = (ord(c) for c in '\n", .0Z')
 # The shortest canonical line, "a,YYYY-MM-DDTHH:MM:SS,0\n", bounds the row count.
 _MIN_LINE = 24
+# Longer ids go to the per-row reader: the id gather is rows x a block's widest id.
+_MAX_ID_BYTES = 64
 # A timestamp is read as three little-endian 64-bit words from 5 bytes before
 # it: "????,YYY" "Y-MM-DDT" "HH:MM:SS". XOR with _TS_PATTERN maps a digit to
 # its value and a separator to 0. Each byte x must then be at most its limit:
@@ -204,7 +206,8 @@ def _decode_block(buf, pos: int, seps):
     c1, c2, ends = seps.T
     starts = np.concatenate([[pos], ends[:-1] + 1])
     id_len, g_len = c1 - starts, ends - c2 - 1
-    if (id_len.min() < 1 or g_len.min() < 1 or g_len.max() > _GLUCOSE_DIGITS + 1
+    if (id_len.min() < 1 or id_len.max() > _MAX_ID_BYTES
+            or g_len.min() < 1 or g_len.max() > _GLUCOSE_DIGITS + 1
             or not (c2 - c1 - 1 - (buf[c2 - 1] == _Z) == _TS_WIDTH).all()):
         return None
     ids = np.ascontiguousarray(_windows(buf, starts, int(id_len.max())).T)

@@ -167,7 +167,7 @@ def _optima(margins, labels, criteria):
     """
     size, n = margins.shape
     case_lt, present = sorted_sweeps(margins, labels)[1:]
-    sens, spec = rates(case_lt, np.arange(n + 1), case_lt[:, -1:], n)
+    sens, spec = rates(np.arange(n + 1), case_lt)
     each = np.arange(size)
     optima = []
     for criterion in criteria:

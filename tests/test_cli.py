@@ -894,6 +894,53 @@ def test_scores_spanning_the_float_range_are_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("route", ["scores", "curves"])
+@pytest.mark.parametrize("command", [["fit", "--criterion", "max_specificity"], ["roc"],
+                                     ["bootstrap", "--B", "10"]])
+def test_maximum_with_no_cut_off_above_it_is_one_error_line(tmp_path, capsys, command, route):
+    """Scores, or curve margins, whose max + 1.0 rounds back to the max
+    leave no cut-off above them: one error line names the file, and no
+    artifact is written."""
+    curves, grid, labels = overflow_inputs(tmp_path, ["a,4e16,4e16", "b,0,0", "c,0,0"])
+    if route == "scores":
+        path, top = tmp_path / "scores.csv", "3e+16"
+        path.write_text("subject_id,score\na,3e16\nb,1e16\nc,2e16\n")
+        inputs = ["--scores", str(path)]
+    else:
+        # Margins against the pooled mean 4e16 / 3: a's is the maximum.
+        path, top = curves, "2.6666666666666664e+16"
+        inputs = ["--curves", str(curves), "--grid", str(grid)]
+    out = tmp_path / "out"
+    rc = main(command + inputs + ["--labels", str(labels), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {route} file {path}: values too large (no cut-off above the maximum "
+        f"score {top}: max + 1.0 rounds back to it)\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--c-grid", "0:1:1000000000000000"],
+    ["simulate", "--a", "0", "--b", "0", "--n", "10", "--R", "2",
+     "--grid-size", "1000000000000000"],
+])
+def test_allocation_beyond_the_address_space_is_one_error_line(tmp_path, capsys, command):
+    """An array of 10**15 floats (8 PB) cannot be allocated under any
+    overcommit setting: the MemoryError is one error line, with no
+    traceback, and no artifact is written."""
+    scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+    scores.write_text("subject_id,score\na,1\nb,2\n")
+    write_labels_file(labels, {"a": 0, "b": 1})
+    if command[0] == "fit":
+        command = command + ["--scores", str(scores), "--labels", str(labels)]
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "(1000000000000000,)" in err
+    assert list(out.iterdir()) == []
+
+
 def test_classify_takes_opposite_sign_extremes_without_warnings(tmp_path, capsys):
     """A curve from -1.7e308 to 1.7e308 is nondecreasing: classify checks
     it without the overflow of a difference and writes its margin."""

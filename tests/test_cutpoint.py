@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ def test_confusion_examples():
     # The boundary counts as positive.
     sens, spec, _ = confusion_at(scores, labels, 2.0)
     assert sens == 0.5 and spec == 1.0
+
+
+def test_confusion_at_refuses_a_nan_threshold():
+    """No score is >= NaN or < NaN, so a NaN cut-off has no rates to give."""
+    with pytest.raises(ValueError, match="c must not be NaN"):
+        confusion_at(np.array([0.0, 1.0]), np.array([0, 1]), float("nan"))
 
 
 def test_degenerate_sample_rejected():
@@ -183,6 +190,22 @@ def test_optimize_matches_oracle_bit_for_bit(pairs):
                     float_bits(getattr(want, field.name)), field.name
 
 
+def test_sentinel_lies_above_the_largest_present_value():
+    """The sentinel is the largest present value + 1, and a sample whose
+    max + 1.0 rounds back to its max has no cut-off above it and fails."""
+    for scores in ([1e16, 2e16, 3e16], [-3e16, -2e16, -1e16], [0.0, 2.0**53]):
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"no cut-off above the maximum score {max(scores)!r}: max + 1.0 rounds back")):
+            optimize(np.array(scores), np.array([1, 0, 0])[:len(scores)])
+    assert optimize(np.array([0.0, 2.0**53 - 1]), np.array([1, 0])).sweep_c[-1] == 2.0**53
+    # Shared distinct values: row 0 drew only -1e16, row 1 both values.
+    distinct, cols = np.array([-1e16, 5.0]), np.array([[2], [2]])
+    present = np.array([[True, False, True], [True, True, True]])
+    assert candidates(distinct[None], present[1:], cols[1:], None).tolist() == [[6.0]]
+    with pytest.raises(FloatingPointError, match=re.escape("maximum score -1e+16:")):
+        candidates(distinct[None], present, cols, None)
+
+
 @st.composite
 def score_rows(draw):
     rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 20))
@@ -210,12 +233,12 @@ def test_sorted_sweeps_rows_are_candidate_sets(sample):
     for r in range(rows):
         want = candidate_set(scores[r])
         cols = np.flatnonzero(present[r])
-        got = candidates(scores[r:r + 1], values[r:r + 1], cols[None])[0]
+        got = candidates(values[r:r + 1], present[r:r + 1], cols[None], lambda _: scores[r])[0]
         assert float_bits(got) == float_bits(want)
         assert cases_below[r, cols].tolist() == \
             [int(labels[r][scores[r] < c].sum()) for c in want]
     for k, col in ((0, 0), (-1, n)):
-        got = candidates(scores, values, np.full((rows, 1), col))[:, 0]
+        got = candidates(values, present, np.full((rows, 1), col), lambda i: scores[i])[:, 0]
         assert float_bits(got) == float_bits([candidate_set(row)[k] for row in scores])
 
 

@@ -72,6 +72,36 @@ def test_row_rules_live_in_the_shared_reader():
     assert sites == {"quantiles.py:subject_rows"}
 
 
+def _name_sites(path: Path, names):
+    """The top-level functions of a source file that use any of `names`, as
+    a name, an attribute or an import, as "file:function"."""
+    sites = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in names)
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(alias.name in names for alias in node.names))):
+                sites.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_sweep_arithmetic_lives_in_cutpoint():
+    """Only cutpoint turns a sweep into numbers: the zero-sign rule and the
+    trapezoidal area appear nowhere else (the glucose AUC of indices aside),
+    and neither bootstrap nor simulate defines a sweep or AUC helper."""
+    src = Path(funcutpoint.__file__).parent
+    sites = set().union(*(_name_sites(path, {"zero_candidate", "trapezoid"})
+                          for path in src.glob("*.py")))
+    sites.discard("indices.py:_auc_index")
+    assert {site.split(":")[0] for site in sites} == {"cutpoint.py"}
+    for name in ("bootstrap.py", "simulate.py"):
+        helpers = {node.name for node in ast.walk(ast.parse((src / name).read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and re.search("sweep|auc", node.name) and not node.name.startswith("write_")}
+        assert (name, helpers) == (name, set())
+
+
 def test_cli_reads_curves_as_one_matrix():
     """The CLI takes each curves file as one (ids, matrix) pair: it names
     neither per-row QuantileCurve objects nor curve_matrix, which stacks them."""

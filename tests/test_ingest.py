@@ -599,6 +599,19 @@ def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, block
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
 
+@pytest.mark.parametrize("width", [ingest._MAX_ID_BYTES, ingest._MAX_ID_BYTES + 1, 2000])
+def test_fast_path_declines_blocks_with_long_ids(tmp_path, width):
+    """The id gather is rows x the widest id of a block, so a canonical file
+    with an id over _MAX_ID_BYTES is the per-row reader's, which reads it
+    as the oracle does; an id at the cap stays column-wise."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"subject_id,timestamp,glucose\n"
+                     + b"x" * width + b",2024-03-01T00:00:00Z,100\n"
+                     + b"s1,2024-03-01T00:05:00Z,101\n")
+    assert (ingest._parse_columns(path.read_bytes()) is None) == (width > ingest._MAX_ID_BYTES)
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     # Runs of equal steps, in minutes: long runs of the nominal interval
