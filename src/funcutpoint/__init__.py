@@ -5,81 +5,70 @@ A one-parameter threshold family reduces each curve to a scalar margin,
 the cut-point is optimized exactly over the observed margins, and a
 subject-level bootstrap quantifies the uncertainty. A simulation harness
 and glycemic comparison indices round out the pipeline.
+
+The package namespace is lazy (PEP 562): `import funcutpoint` loads
+neither numpy nor any submodule, and each exported name imports its
+submodule on first use.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapSummary,
-    bootstrap_cutpoint,
-    bootstrap_scalar,
-)
-from .cutpoint import (
-    CRITERIA,
-    CutpointResult,
-    auc,
-    candidate_set,
-    confusion_at,
-    optimize,
-    roc_points,
-    sweep_metrics,
-)
-from .indices import IndexVector, basic_indices, compute_indices, conga, mage
-from .ingest import SubjectSeries, filter_days, ingest_cohort
-from .monotone import SmoothConfig, monotone_smooth, moving_average, pava
-from .normal import TruncNormalSpec, norm_cdf, norm_quantile, tn_quantile
-from .quantiles import QuantileCurve, default_grid, empirical_quantile
-from .simulate import DgpParams, generate, run_study
-from .threshold import (
-    ThresholdFamily,
-    classify,
-    cutoff_curve,
-    estimate_mu,
-    margin,
-    margin_vector,
-)
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "BootstrapConfig": "bootstrap",
+    "BootstrapSummary": "bootstrap",
+    "bootstrap_cutpoint": "bootstrap",
+    "bootstrap_scalar": "bootstrap",
+    "CRITERIA": "cutpoint",
+    "CutpointResult": "cutpoint",
+    "auc": "cutpoint",
+    "candidate_set": "cutpoint",
+    "confusion_at": "cutpoint",
+    "optimize": "cutpoint",
+    "roc_points": "cutpoint",
+    "sweep_metrics": "cutpoint",
+    "IndexVector": "indices",
+    "basic_indices": "indices",
+    "compute_indices": "indices",
+    "conga": "indices",
+    "mage": "indices",
+    "SubjectSeries": "ingest",
+    "filter_days": "ingest",
+    "ingest_cohort": "ingest",
+    "SmoothConfig": "monotone",
+    "monotone_smooth": "monotone",
+    "moving_average": "monotone",
+    "pava": "monotone",
+    "TruncNormalSpec": "normal",
+    "norm_cdf": "normal",
+    "norm_quantile": "normal",
+    "tn_quantile": "normal",
+    "QuantileCurve": "quantiles",
+    "default_grid": "quantiles",
+    "empirical_quantile": "quantiles",
+    "DgpParams": "simulate",
+    "generate": "simulate",
+    "run_study": "simulate",
+    "ThresholdFamily": "threshold",
+    "classify": "threshold",
+    "cutoff_curve": "threshold",
+    "estimate_mu": "threshold",
+    "margin": "threshold",
+    "margin_vector": "threshold",
+}
 
-__all__ = [
-    "__version__",
-    "BootstrapConfig",
-    "BootstrapSummary",
-    "bootstrap_cutpoint",
-    "bootstrap_scalar",
-    "CRITERIA",
-    "CutpointResult",
-    "auc",
-    "candidate_set",
-    "confusion_at",
-    "optimize",
-    "roc_points",
-    "sweep_metrics",
-    "IndexVector",
-    "basic_indices",
-    "compute_indices",
-    "conga",
-    "mage",
-    "SubjectSeries",
-    "filter_days",
-    "ingest_cohort",
-    "SmoothConfig",
-    "monotone_smooth",
-    "moving_average",
-    "pava",
-    "TruncNormalSpec",
-    "norm_cdf",
-    "norm_quantile",
-    "tn_quantile",
-    "QuantileCurve",
-    "default_grid",
-    "empirical_quantile",
-    "DgpParams",
-    "generate",
-    "run_study",
-    "ThresholdFamily",
-    "classify",
-    "cutoff_curve",
-    "estimate_mu",
-    "margin",
-    "margin_vector",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -276,7 +276,10 @@ def bootstrap_scalar(
     # zero c_hat its resample's.
     distinct, run = np.unique(scores, return_inverse=True)
     K = distinct.size
-    code = 2 * run + labels_arr
+    # -0.0 draws are counted in an extra row K, apart from the zero run's
+    # +0.0 draws, and summed back into it for the sweep.
+    zero = run[scores == 0.0][:1]
+    code = 2 * np.where(np.signbit(scores) & (scores == 0.0), K, run) + labels_arr
     # All draws at the distinct values below a reference threshold lie
     # below it.
     grid_cols = np.searchsorted(distinct, ref_grid, side="left")[None]
@@ -291,16 +294,26 @@ def bootstrap_scalar(
     cols = _columns(cfg.B)
     for span in _chunks(cfg.B, K + 1):
         # Each replicate's draws are counted as they are drawn, so a chunk
-        # holds K + 1 candidate columns per replicate, not n draws; the
-        # rare zero candidate draws its replicate's sample again.
-        counts = np.empty((span.stop - span.start, K, 2), dtype=np.int64)
+        # holds K + 1 candidate columns per replicate, not n draws.
+        counts = np.empty((span.stop - span.start, K + 1, 2), dtype=np.int64)
         for r, b in enumerate(range(span.start, span.stop)):
             idx, cols["fails"][b] = draw(b)
-            counts[r] = np.bincount(code[idx], minlength=2 * K).reshape(K, 2)
-        below, case_lt, present = counted_sweeps(counts)
+            counts[r] = np.bincount(code[idx], minlength=2 * K + 2).reshape(K + 1, 2)
+        # Whether each replicate drew -0.0 and +0.0: a zero c_hat takes the
+        # one sign drawn, and only a replicate that drew both signs is drawn
+        # again for zero_candidate.
+        drew = counts[:, [K, *zero]].any(axis=2)
+        counts[:, zero] += counts[:, K:]
+        below, case_lt, present = counted_sweeps(counts[:, :K])
         i = _evaluate(cols, span, below, case_lt, present, criterion, grid_cols)
-        cols["c_hat"][span] = candidates(distinct[None], present, i[:, None],
-                                         lambda r: scores[draw(span.start + r)[0]])[:, 0]
+
+        def zeros_of(r):
+            negative, positive = drew[r]
+            if negative and positive:
+                return scores[draw(span.start + r)[0]]
+            return np.array([-0.0 if negative else 0.0])
+
+        cols["c_hat"][span] = candidates(distinct[None], present, i[:, None], zeros_of)[:, 0]
 
     return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg)
 

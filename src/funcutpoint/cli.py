@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+# No command makes a float BLAS call (tests/test_exports.py keeps it so),
+# so one OpenBLAS thread is enough, and numpy spins up no idle workers
+# that burn CPU in every process. Set before numpy is first imported; a
+# value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .bootstrap import (
@@ -59,7 +66,7 @@ from .threshold import (
     write_cutoff_json,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _bounds_type(text: str):
@@ -285,14 +292,13 @@ def cmd_classify(args, out_dir: Path) -> None:
     if not np.array_equal(grid, family.grid):
         raise ValueError(f"cutoff file {args.cutoff}: grid differs from grid file {args.grid}")
     ids, matrix = read_curves_csv(args.curves, grid)
-    margins = row_margins(matrix, family)
-    # Python int cells: write_csv writes a bool as True and a numpy int as a float.
-    write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
-              zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))
-    if args.labels:
-        labels_arr = label_array(ids, parse_labels(args.labels), args.labels)
+    labels_arr = label_array(ids, parse_labels(args.labels), args.labels) if args.labels else None
+    with _file_arithmetic(args):
+        margins = row_margins(matrix, family)
+    metrics = None
+    if labels_arr is not None:
         sens, spec, youden = confusion_at(margins, labels_arr, c_hat)
-        write_json(out_dir / "metrics.json", {
+        metrics = {
             "c_hat": c_hat,
             "criterion": criterion,
             "sensitivity": sens,
@@ -300,7 +306,13 @@ def cmd_classify(args, out_dir: Path) -> None:
             "youden": youden,
             "n_cases": int(labels_arr.sum()),
             "n_controls": int((1 - labels_arr).sum()),
-        })
+        }
+    # Written only once every check has passed, so a failing run leaves none.
+    # Python int cells: write_csv writes a bool as True and a numpy int as a float.
+    write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
+              zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))
+    if metrics is not None:
+        write_json(out_dir / "metrics.json", metrics)
 
 
 def cmd_simulate(args, out_dir: Path) -> None:
@@ -502,5 +514,24 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run main() on sys.argv and end the process with its exit code.
+
+    The entry point of the `funcutpoint` console script and of
+    `python -m funcutpoint.cli`. Every artifact is closed when main returns,
+    so after flushing stdout and stderr the process ends with os._exit and
+    skips the interpreter's teardown, which frees every object one by one.
+    Standard output that cannot be written is a file error.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = code or 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

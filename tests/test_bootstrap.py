@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bootstrap_cutpoint_oracle, bootstrap_scalar_oracle
-from funcutpoint import cutpoint
+from funcutpoint import bootstrap, cutpoint
 from funcutpoint.bootstrap import (
     BootstrapConfig,
     _percentile_ci,
@@ -92,23 +92,43 @@ def test_scalar_bootstrap_determinism_and_threads():
 
 
 @pytest.mark.parametrize("criterion", ["youden", "max_sensitivity", "max_specificity"])
-def test_scalar_bootstrap_matches_per_replicate_oracle(criterion):
+def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, monkeypatch):
     """The single-sort replicate reproduces optimize plus sweep_metrics per
-    resample bit for bit, on tied scores with zeros of both signs."""
+    resample bit for bit, on tied scores with zeros of both signs and of one
+    sign. A replicate's sample is drawn again only when its c_hat is zero
+    and it drew zeros of both signs."""
     rng = np.random.default_rng(SEED + 9)
-    # Zero-valued scores are cases and every control lies below zero or at
-    # 0.5, so c_hat is often the zero candidate, whose sign must match.
-    scores = np.concatenate([rng.choice([-0.0, 0.0, 0.5, 1.0], 24),
-                             rng.choice([-1.0, -0.5, 0.5], 16)])
     labels = np.repeat([1, 0], [24, 16])
-    got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3))
-    want = bootstrap_scalar_oracle(scores, labels, criterion, B=40, seed=3)
-    assert [v.hex() for v in got.c_hats] == [v.hex() for v in want["c_hats"]]
-    assert got.metric_cis == want["metric_cis"]
-    assert got.redraws == want["redraws"]
-    np.testing.assert_array_equal(got.sweep_c, want["sweep_c"])
-    np.testing.assert_array_equal([got.sens_lower, got.sens_upper], want["sens_band"])
-    np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
+    draws = []
+    real_draw = bootstrap._draw_indices
+
+    def recorded_draw(*args):
+        idx, fails = real_draw(*args)
+        draws.append(idx)
+        return idx, fails
+
+    monkeypatch.setattr(bootstrap, "_draw_indices", recorded_draw)
+    for zeros in ([-0.0, 0.0], [0.0], [-0.0]):
+        # Zero-valued scores are cases and every control lies below zero or
+        # at 0.5, so c_hat is often the zero candidate, whose sign must match.
+        scores = np.concatenate([rng.choice([*zeros, 0.5, 1.0], 24),
+                                 rng.choice([-1.0, -0.5, 0.5], 16)])
+        draws.clear()
+        got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3))
+        want = bootstrap_scalar_oracle(scores, labels, criterion, B=40, seed=3)
+        assert [v.hex() for v in got.c_hats] == [v.hex() for v in want["c_hats"]]
+        assert got.metric_cis == want["metric_cis"]
+        assert got.redraws == want["redraws"]
+        np.testing.assert_array_equal(got.sweep_c, want["sweep_c"])
+        np.testing.assert_array_equal([got.sens_lower, got.sens_upper], want["sens_band"])
+        np.testing.assert_array_equal([got.spec_lower, got.spec_upper], want["spec_band"])
+        # B = 40 replicates over 5 distinct values are one chunk: the 40
+        # draws in order, then the second draws.
+        first, again = draws[:40], draws[40:]
+        both = [idx for c, idx in zip(got.c_hats, first)
+                if c == 0.0 and np.unique(np.signbit(scores[idx][scores[idx] == 0.0])).size == 2]
+        assert [a.tolist() for a in again] == [idx.tolist() for idx in both]
+        assert len(zeros) == 2 or again == []
 
 
 def hex_list(values):

@@ -1,7 +1,12 @@
+import ast
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -961,6 +966,35 @@ def test_classify_takes_opposite_sign_extremes_without_warnings(tmp_path, capsys
         "a,-1.7e+308,0"]
 
 
+@pytest.mark.parametrize("labels", [None, {"a": 0, "b": 1, "c": 1}, {"a": 0, "b": 1}])
+def test_classify_overflowing_margins_are_one_error_line(tmp_path, capsys, labels):
+    """Curves at 1.7e308 against a cutoff whose mu is -1.7e308: each margin
+    a - mu overflows. classify fails with one error line naming the file at
+    fault (the labels file when it lacks a subject, else the curves file),
+    with no numpy warning, and writes no predictions.csv."""
+    curves, grid, _ = overflow_inputs(tmp_path, ["a,1.7e308,1.7e308", "b,0,1", "c,1,2"])
+    cutoff = tmp_path / "cutoff.json"
+    write_cutoff_json(cutoff, ThresholdFamily(read_grid_json(grid), [-1.7e308] * 2, [1.0] * 2),
+                      0.0, "youden")
+    out = tmp_path / "out"
+    argv = ["classify", "--cutoff", str(cutoff), "--curves", str(curves), "--grid", str(grid),
+            "--out", str(out)]
+    message = f"curves file {curves}: values too large (overflow encountered in subtract)"
+    if labels is not None:
+        path = tmp_path / "probe_labels.csv"
+        write_labels_file(path, labels)
+        argv += ["--labels", str(path)]
+        if "c" not in labels:
+            message = f"{path}: no label for subject 'c'"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_scores_file_with_blank_first_line_is_one_error_line(tmp_path, capsys):
     scores = tmp_path / "blank.csv"
     scores.write_text("\ns1,1\n")
@@ -1178,3 +1212,114 @@ def test_artifacts_match_recorded_digests(ingested, scores_files, cohort_files, 
             if path.name != "manifest.json":
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+# ------------------------------------------------------------ process lifecycle
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+SIMULATE = ["simulate", "--a", "0,2", "--b", "1", "--n", "20", "--R", "3", "--seed", "5"]
+
+
+def _python(args, env=None, **kwargs):
+    """Run `python *args` in a fresh process on this checkout's package,
+    buffered as Python buffers a pipe by default, so an output line that
+    is never flushed is lost."""
+    env = dict(os.environ if env is None else env)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=120, **kwargs)
+
+
+def _cli(argv, **kwargs):
+    return _python(["-m", "funcutpoint.cli", *argv], **kwargs)
+
+
+def test_cli_process_writes_what_main_writes(tmp_path):
+    """A `python -m funcutpoint.cli` process exits 0 through run(), its
+    summary line reaches the pipe on stdout, and its artifacts equal those
+    of main() in this process byte for byte."""
+    proc = _cli(SIMULATE + ["--out", str(tmp_path / "process")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "cells: 2  replicates: 3  regenerated cohorts: 0\n"
+    assert main(SIMULATE + ["--out", str(tmp_path / "main")]) == 0
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "process").iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert ((tmp_path / "process" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes()), name
+
+
+def test_console_script_and_module_exit_through_run():
+    """The `funcutpoint` console script and `python -m funcutpoint.cli`
+    both end through cli.run."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(SRC).parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"funcutpoint": "funcutpoint.cli:run"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_block = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in main_block[0].body] == ["run()"]
+
+
+def test_cli_process_exit_codes(tmp_path):
+    """Exit codes 1 (computation error) and 2 (usage or file error) come
+    through run() with one error line each."""
+    curves, grid, labels = overflow_inputs(tmp_path, ["a,1e308,1.7e308", "b,1.7e308,1.7e308",
+                                                      "c,1,2"])
+    proc = _cli(["fit", "--curves", str(curves), "--grid", str(grid), "--labels", str(labels),
+                 "--out", str(tmp_path / "fit")])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: curves file {curves}: values too large (overflow encountered in reduce)\n")
+    missing = tmp_path / "missing.csv"
+    proc = _cli(["indices", "--series", str(missing), "--out", str(tmp_path / "idx")])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: input file not found: {missing}\n"
+    proc = _cli(["fit", "--out", str(tmp_path / "usage")])
+    assert proc.returncode == 2
+    assert "error: the following arguments are required: --labels" in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_cli_process_fails_when_stdout_cannot_be_written(tmp_path):
+    """A summary line that cannot be flushed is a file error: exit 2 with
+    one error line, not a silent success."""
+    with open("/dev/full", "w") as full:
+        proc = _cli(SIMULATE + ["--out", str(tmp_path / "out")], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: [Errno 28] ") and proc.stderr.count("\n") == 1
+
+
+THREADS_PROBE = ("import os, funcutpoint.cli; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_cli_defaults_to_one_blas_thread(user_value):
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    so the process runs one thread; a value the user set is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    proc = _python(["-c", THREADS_PROBE], env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == (user_value or "1")
+    if user_value is None:
+        assert threads == "1"
+
+
+def test_package_import_is_lazy():
+    """`import funcutpoint` loads neither numpy nor any submodule; an
+    exported name loads its submodule on first use."""
+    proc = _python(["-c", "import sys, funcutpoint; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
+                          "or m.startswith('funcutpoint.'))); "
+                          "funcutpoint.optimize; print('funcutpoint.cutpoint' in sys.modules)"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\nTrue\n"

@@ -102,6 +102,33 @@ def test_sweep_arithmetic_lives_in_cutpoint():
         assert (name, helpers) == (name, set())
 
 
+BLAS_NAMES = {"dot", "matmul", "einsum", "linalg"}
+
+
+def _blas_sites(path: Path):
+    """The top-level functions of a source file that may reach BLAS: a
+    matrix product `@`, or dot, matmul, einsum or linalg by any spelling,
+    as "file:function"."""
+    sites = _name_sites(path, BLAS_NAMES)
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if ((isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+                    or (isinstance(node, ast.Import) and any(
+                        BLAS_NAMES & set(alias.name.split(".")) for alias in node.names))):
+                sites.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_no_float_blas_call():
+    """The CLI runs numpy with one OpenBLAS thread because the program makes
+    no float BLAS call. The one matrix product is in the glucose decoder,
+    where `@` multiplies integer arrays, which numpy computes without BLAS.
+    A new site fails here, so the thread default is revisited on purpose."""
+    src = Path(funcutpoint.__file__).parent
+    sites = set().union(*(_blas_sites(path) for path in src.glob("*.py")))
+    assert sites == {"ingest.py:_decode_glucose"}
+
+
 def test_cli_reads_curves_as_one_matrix():
     """The CLI takes each curves file as one (ids, matrix) pair: it names
     neither per-row QuantileCurve objects nor curve_matrix, which stacks them."""
