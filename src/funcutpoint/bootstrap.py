@@ -311,7 +311,7 @@ def bootstrap_scalar(
             negative, positive = drew[r]
             if negative and positive:
                 return scores[draw(span.start + r)[0]]
-            return np.array([-0.0 if negative else 0.0])
+            return -0.0 if negative else 0.0
 
         cols["c_hat"][span] = candidates(distinct[None], present, i[:, None], zeros_of)[:, 0]
 

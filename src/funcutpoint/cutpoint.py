@@ -275,7 +275,8 @@ def candidates(values, present, cols, sample_of):
     where that rounds back to the value has no cut-off above it and fails
     with FloatingPointError, whichever columns it asks for. +0.0 and -0.0
     compare equal, so a zero takes zero_candidate's sign over sample_of(r),
-    asked for only then.
+    asked for only then; sample_of may instead return the zero itself when
+    its sign is already known.
     """
     rows, width = present.shape[0], values.shape[1]
     row = np.arange(rows) % len(values)  # 0 for every sweep when one row is shared
@@ -288,7 +289,8 @@ def candidates(values, present, cols, sample_of):
     cs = np.where(cols == width, above[:, None], values[row[:, None], np.minimum(cols, width - 1)])
     if (cs == 0.0).any():
         for r, j in zip(*np.nonzero((cs == 0.0) & (cols < width))):
-            cs[r, j] = zero_candidate(sample_of(int(r)))
+            zero = sample_of(int(r))
+            cs[r, j] = zero if np.ndim(zero) == 0 else zero_candidate(zero)
     return cs
 
 

@@ -8,9 +8,9 @@ is attributed in the ingest report; nothing is lost silently.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -88,6 +88,9 @@ def _parse_timestamp(raw: str, path, line_no: int) -> int:
 _HEADER = b"subject_id,timestamp,glucose\n"
 # Rows decoded per block: bounds the per-block temporaries.
 _BLOCK_ROWS = 1 << 13
+# Bytes asked for by each read of the file: the buffer holds a timestamp lead,
+# the most bytes a block of canonical lines spans and one read.
+_READ_BYTES = 1 << 20
 _NL, _QUOTE, _COMMA, _SPACE, _DOT, _ZERO, _Z = (ord(c) for c in '\n", .0Z')
 # The shortest canonical line, "a,YYYY-MM-DDTHH:MM:SS,0\n", bounds the row count.
 _MIN_LINE = 24
@@ -108,6 +111,9 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 # digits[.digits] with at most 15 digits: int / 10**k then equals float(text).
 _GLUCOSE_DIGITS = 15
 _POW10 = np.array([float(10 ** k) for k in range(_GLUCOSE_DIGITS)])
+# The longest canonical line: the widest id, a timestamp with its Z, the
+# widest glucose with its dot, two commas and the newline.
+_MAX_LINE = _MAX_ID_BYTES + _TS_WIDTH + _GLUCOSE_DIGITS + 6
 
 
 def _row_separators(buf, pos: int, rows: int, span: int):
@@ -223,36 +229,75 @@ def _decode_block(buf, pos: int, seps):
     return None if times is None or glucose is None else (ids, times, glucose)
 
 
-def _parse_columns(data: bytes):
+def _refill(fh, buf, pos: int, filled: int, need: int):
+    """Move the unread bytes buf[pos:filled], and the _TS_LEAD bytes before
+    them that the first timestamp window starts in, to the front of buf; then
+    read behind them until `need` bytes follow pos or the file ends.
+    Returns (pos, filled, at end of file)."""
+    keep = pos - _TS_LEAD
+    buf[:filled - keep] = buf[keep:filled]
+    pos, filled = _TS_LEAD, filled - keep
+    while filled - pos < need:
+        got = fh.readinto(buf[filled:filled + _READ_BYTES])
+        if not got:
+            return pos, filled, True
+        filled += got
+    return pos, filled, False
+
+
+def _parse_columns(path):
     """Decode a canonical series file into (ids, times, glucose, codes), codes
-    indexing ids in first-appearance order; None unless wholly canonical."""
-    if not data.startswith(_HEADER) or len(data) == len(_HEADER):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # No more rows fit; the pages past the rows decoded are never touched.
-    cap = (buf.size - len(_HEADER)) // _MIN_LINE + 1
-    times, glucose, codes = np.empty(cap, np.int64), np.empty(cap), np.empty(cap, np.int32)
-    index: dict[bytes, int] = {}
-    pos, row, span = len(_HEADER), 0, 48 * _BLOCK_ROWS
-    while pos < buf.size:
-        seps = _row_separators(buf, pos, _BLOCK_ROWS, span)
-        block = None if seps is None else _decode_block(buf, pos, seps)
-        if block is None:
+    indexing ids in first-appearance order; None unless wholly canonical.
+
+    The file is read through one buffer, refilled before a block that may run
+    past the bytes read, so memory is the columns plus the buffer."""
+    rows, most = _BLOCK_ROWS, _MAX_LINE * _BLOCK_ROWS
+    with open(path, "rb", buffering=0) as fh:
+        # No more rows fit in the size at open; the pages past the rows
+        # decoded are never touched. The columns grow if the file does.
+        cap = max(os.fstat(fh.fileno()).st_size - len(_HEADER), 0) // _MIN_LINE + 1
+        times, glucose, codes = np.empty(cap, np.int64), np.empty(cap), np.empty(cap, np.int32)
+        buf = np.empty(_TS_LEAD + most + _READ_BYTES, dtype=np.uint8)
+        pos, filled, eof = _refill(fh, buf, _TS_LEAD, _TS_LEAD, len(_HEADER) + 1)
+        if filled - pos <= len(_HEADER) or buf[pos:pos + len(_HEADER)].tobytes() != _HEADER:
             return None
-        ids, block_times, block_glucose = block
-        # Only the first id of each run of equal ids is looked up.
-        heads = np.flatnonzero(np.concatenate([[True], (ids[:, 1:] != ids[:, :-1]).any(axis=0)]))
-        keys = np.ascontiguousarray(ids[:, heads].T).view(f"S{len(ids)}").ravel()
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        local = np.empty(unique.size, dtype=np.int32)
-        for u in np.argsort(first):
-            local[u] = index.setdefault(bytes(unique[u]), len(index))
-        stop = row + len(seps)
-        times[row:stop], glucose[row:stop] = block_times, block_glucose
-        codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
-        # The next scan spans this block's bytes and an eighth more.
-        end = int(seps[-1, 2]) + 1
-        pos, row, span = end, stop, (end - pos) * 9 // 8 + 64
+        index: dict[bytes, int] = {}
+        pos, row, span = pos + len(_HEADER), 0, 48 * rows
+        while True:
+            if filled - pos < min(span, most) and not eof:
+                pos, filled, eof = _refill(fh, buf, pos, filled, min(span, most))
+            if pos >= filled:  # past the end: a last line without a newline ends there
+                break
+            data = buf[:filled]
+            seps = _row_separators(data, pos, rows, span)
+            if not eof and (seps is None or len(seps) < rows or seps[-1, 2] == filled):
+                # A short block before the end of the file, or one whose last
+                # line ends at the end of the buffer, may only need more bytes;
+                # with all that a canonical block spans read, it is not one.
+                if filled - pos >= most:
+                    return None
+                span = most
+                continue
+            block = None if seps is None else _decode_block(data, pos, seps)
+            if block is None:
+                return None
+            ids, block_times, block_glucose = block
+            # Only the first id of each run of equal ids is looked up.
+            heads = np.flatnonzero(np.concatenate([[True], (ids[:, 1:] != ids[:, :-1]).any(axis=0)]))
+            keys = np.ascontiguousarray(ids[:, heads].T).view(f"S{len(ids)}").ravel()
+            unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            local = np.empty(unique.size, dtype=np.int32)
+            for u in np.argsort(first):
+                local[u] = index.setdefault(bytes(unique[u]), len(index))
+            stop = row + len(seps)
+            if stop > times.size:  # the file grew after it was opened
+                for column in (times, glucose, codes):
+                    column.resize(2 * stop, refcheck=False)
+            times[row:stop], glucose[row:stop] = block_times, block_glucose
+            codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
+            # The next scan spans this block's bytes and an eighth more.
+            end = int(seps[-1, 2]) + 1
+            pos, row, span = end, stop, (end - pos) * 9 // 8 + 64
     return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
 
 
@@ -299,24 +344,34 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     Files wholly in the canonical form are decoded column-wise; any other
     file is read row by row. Both readers feed the one tail below.
     """
-    ids, times, glucose, codes = (
-        _parse_columns(Path(path).read_bytes()) or _parse_series_rows(path)
-    )
+    ids, times, glucose, codes = _parse_columns(path) or _parse_series_rows(path)
     n = len(ids)
-    out_of_range = (glucose < GLUCOSE_LO) | (glucose > GLUCOSE_HI)
-    clamped = np.bincount(codes[out_of_range], minlength=n)
-    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
     records_in = np.bincount(codes, minlength=n)
+    # One mask, built in place: rows out of the device range, then (after is
+    # its view from the second row) rows out of (subject, time) order, then
+    # rows kept by the dedupe.
+    mask = np.less(glucose, GLUCOSE_LO)
+    mask |= glucose > GLUCOSE_HI
+    clamped = np.bincount(codes[mask], minlength=n)
+    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
     # lexsort is stable: among equal timestamps the first row in the file leads.
     # On rows already grouped by subject in time order it is the identity.
-    step = codes[1:] - codes[:-1]
-    if not ((step > 0) | ((step == 0) & (times[1:] >= times[:-1]))).all():
+    after = mask[1:]
+    np.less(times[1:], times[:-1], out=after)
+    after &= codes[1:] == codes[:-1]
+    after |= codes[1:] < codes[:-1]
+    if after.any():
         order = np.lexsort((times, codes))
         codes, times, glucose = codes[order], times[order], glucose[order]
-    keep = np.ones(codes.size, dtype=bool)
-    keep[1:] = (codes[1:] != codes[:-1]) | (times[1:] != times[:-1])
-    kept = np.bincount(codes[keep], minlength=n)
-    times, glucose = times[keep], glucose[keep]
+        del order
+    mask[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=after)
+    after |= times[1:] != times[:-1]
+    kept = records_in - np.bincount(codes[~mask], minlength=n)
+    # The columns are copied one at a time, each freeing the one it replaces.
+    del codes
+    times = times[mask]
+    glucose = glucose[mask]
     bounds = np.concatenate([[0], np.cumsum(kept)])
     series, stats = [], {}
     for code, sid in enumerate(ids):

@@ -95,12 +95,12 @@ def test_scalar_bootstrap_determinism_and_threads():
 def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, monkeypatch):
     """The single-sort replicate reproduces optimize plus sweep_metrics per
     resample bit for bit, on tied scores with zeros of both signs and of one
-    sign. A replicate's sample is drawn again only when its c_hat is zero
-    and it drew zeros of both signs."""
+    sign. A replicate's sample is drawn again, and zero_candidate asked for
+    its zero, only when its c_hat is zero and it drew zeros of both signs."""
     rng = np.random.default_rng(SEED + 9)
     labels = np.repeat([1, 0], [24, 16])
-    draws = []
-    real_draw = bootstrap._draw_indices
+    draws, zero_calls = [], []
+    real_draw, real_zero = bootstrap._draw_indices, cutpoint.zero_candidate
 
     def recorded_draw(*args):
         idx, fails = real_draw(*args)
@@ -108,13 +108,20 @@ def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, monkeypatch):
         return idx, fails
 
     monkeypatch.setattr(bootstrap, "_draw_indices", recorded_draw)
+    monkeypatch.setattr(cutpoint, "zero_candidate",
+                        lambda sample: zero_calls.append(sample) or real_zero(sample))
     for zeros in ([-0.0, 0.0], [0.0], [-0.0]):
         # Zero-valued scores are cases and every control lies below zero or
         # at 0.5, so c_hat is often the zero candidate, whose sign must match.
         scores = np.concatenate([rng.choice([*zeros, 0.5, 1.0], 24),
                                  rng.choice([-1.0, -0.5, 0.5], 16)])
+        zero_calls.clear()
+        optimize(scores, labels, criterion)
+        point_calls = len(zero_calls)
         draws.clear()
+        zero_calls.clear()
         got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=40, seed=3))
+        replicate_calls = len(zero_calls) - point_calls
         want = bootstrap_scalar_oracle(scores, labels, criterion, B=40, seed=3)
         assert [v.hex() for v in got.c_hats] == [v.hex() for v in want["c_hats"]]
         assert got.metric_cis == want["metric_cis"]
@@ -128,6 +135,7 @@ def test_scalar_bootstrap_matches_per_replicate_oracle(criterion, monkeypatch):
         both = [idx for c, idx in zip(got.c_hats, first)
                 if c == 0.0 and np.unique(np.signbit(scores[idx][scores[idx] == 0.0])).size == 2]
         assert [a.tolist() for a in again] == [idx.tolist() for idx in both]
+        assert replicate_calls == len(both)
         assert len(zeros) == 2 or again == []
 
 

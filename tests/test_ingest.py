@@ -1,4 +1,6 @@
 import csv
+import os
+import threading
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -388,6 +390,11 @@ def series_files(draw, ordered=False):
     return text.encode("utf-8")
 
 
+# Reads of less than a line, and the default: refills fall inside lines,
+# fields and the timestamp lead.
+READ_SIZES = st.sampled_from([1, 7, 23, ingest._READ_BYTES])
+
+
 def outcome(parse, path):
     try:
         series, stats = parse(path)
@@ -413,14 +420,17 @@ def assert_same_outcome(got, want):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=series_files(), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]))
+@given(data=series_files(), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]),
+       read_bytes=READ_SIZES)
 @pytest.mark.parametrize("per_row", [False, True])
-def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, data, block_rows):
+def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, data, block_rows,
+                                             read_bytes):
     """With per_row, every file goes through the per-row reader and the
     shared tail."""
     path = tmp_path / "series.csv"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     if per_row:
         monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
@@ -451,11 +461,11 @@ SWAP_EXAMPLE = (b"subject_id,timestamp,glucose\n"
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=series_files(ordered=True), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]),
-       swap=st.booleans())
-@example(data=SWAP_EXAMPLE, block_rows=2, swap=True)
+       swap=st.booleans(), read_bytes=READ_SIZES)
+@example(data=SWAP_EXAMPLE, block_rows=2, swap=True, read_bytes=ingest._READ_BYTES)
 @pytest.mark.parametrize("per_row", [False, True])
 def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_row, data,
-                                                   block_rows, swap):
+                                                   block_rows, swap, read_bytes):
     """Files already grouped by subject in time order skip the sort. A
     subject coming back after another's run, or a swap of the last two
     rows that puts them out of order, takes it. Both readers match the
@@ -467,6 +477,7 @@ def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_ro
     path = tmp_path / "series.csv"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     if per_row:
         monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
     else:
@@ -584,17 +595,30 @@ LONG_ID_THEN_SHORT_LINE = (b"subject_id,timestamp,glucose\n" + b"x" * 40
                            + b",2024-03-01T00:00:00Z,100\na,2024-03-01T00:05:00,5")
 
 
+# With 1-byte ids, the first timestamp window of a block starts 3 bytes before
+# the block, in bytes a refill must keep.
+ONE_BYTE_IDS = (b"subject_id,timestamp,glucose\n"
+                + b"".join(b"%c,2024-03-01T00:%02d:00Z,%d\n" % (sid, 5 * k, 90 + k)
+                           for k, sid in enumerate(b"abcabcaab")))
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mixed_width_files(), block_rows=st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]))
-@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=2)
-@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=ingest._BLOCK_ROWS)
-def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, block_rows):
+@given(data=mixed_width_files(), block_rows=st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]),
+       read_bytes=READ_SIZES)
+@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=2, read_bytes=ingest._READ_BYTES)
+@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=ingest._BLOCK_ROWS, read_bytes=ingest._READ_BYTES)
+@example(data=ONE_BYTE_IDS, block_rows=1, read_bytes=1)
+@example(data=ONE_BYTE_IDS, block_rows=2, read_bytes=7)
+@example(data=ONE_BYTE_IDS, block_rows=3, read_bytes=23)
+def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, block_rows,
+                                              read_bytes):
     """Every row of a block is padded to its widest id and glucose field: the
     column-wise decoder owns these files and matches the per-row oracle."""
     path = tmp_path / "series.csv"
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
@@ -608,8 +632,104 @@ def test_fast_path_declines_blocks_with_long_ids(tmp_path, width):
     path.write_bytes(b"subject_id,timestamp,glucose\n"
                      + b"x" * width + b",2024-03-01T00:00:00Z,100\n"
                      + b"s1,2024-03-01T00:05:00Z,101\n")
-    assert (ingest._parse_columns(path.read_bytes()) is None) == (width > ingest._MAX_ID_BYTES)
+    assert (ingest._parse_columns(path) is None) == (width > ingest._MAX_ID_BYTES)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+
+
+def canonical_lines(ids, per_subject):
+    """Canonical lines of 5-minute samples, each subject's in one run; some
+    glucose lies above the device range."""
+    start = datetime(2024, 3, 1)
+    return b"".join(
+        b"%s,%sZ,%d\n" % (sid.encode(), (start + timedelta(minutes=5 * k)).isoformat().encode(),
+                          40 + (7 * k + len(sid)) % 400)
+        for sid in ids for k in range(per_subject))
+
+
+class RecordedReads:
+    """A file whose reads are recorded as (bytes asked, bytes returned);
+    before_read, if given, runs before the first."""
+
+    def __init__(self, fh, reads, before_read=None):
+        self._fh, self._reads, self._before_read = fh, reads, before_read
+
+    def readinto(self, buffer):
+        if self._before_read is not None and not self._reads:
+            self._before_read()
+        got = self._fh.readinto(buffer)
+        self._reads.append((memoryview(buffer).nbytes, got))
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def record_reads(monkeypatch, reads, before_read=None):
+    """Wrap every file the ingest module opens in RecordedReads."""
+    monkeypatch.setattr(ingest, "open",
+                        lambda *args, **kwargs: RecordedReads(open(*args, **kwargs), reads,
+                                                              before_read),
+                        raising=False)
+
+
+def test_series_file_is_read_through_one_bounded_buffer(tmp_path, monkeypatch):
+    """Memory is the columns plus one buffer, not the file: the column-wise
+    decoder reads a file many buffers long in reads of at most _READ_BYTES,
+    each byte once, and its columns equal the oracle's."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"subject_id,timestamp,glucose\n"
+                     + canonical_lines([f"s{k}" for k in range(5)], 2000))
+    reads = []
+    monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
+    monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
+    record_reads(monkeypatch, reads)
+    got = outcome(parse_series, path)
+    assert_same_outcome(got, outcome(parse_series_oracle, path))
+    size = path.stat().st_size
+    assert size > 50 * 4096
+    assert max(asked for asked, _ in reads) <= 4096
+    assert sum(returned for _, returned in reads) == size
+
+
+@pytest.mark.parametrize("read_bytes", [7, ingest._READ_BYTES])
+def test_file_growing_while_read_stays_column_wise(tmp_path, monkeypatch, read_bytes):
+    """Rows appended after the file is opened outrun the columns sized from
+    its size at open: they grow, and every row is read as the oracle reads
+    the final file."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"subject_id,timestamp,glucose\n" + canonical_lines(["a"], 3))
+
+    def append_rows():
+        with open(path, "ab") as fh:
+            fh.write(canonical_lines(["b", "c10"], 500))
+
+    monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
+    record_reads(monkeypatch, [], append_rows)
+    got = outcome(parse_series, path)
+    assert_same_outcome(got, outcome(parse_series_oracle, path))
+    assert [s[0] for s in got[0]] == ["a", "b", "c10"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_is_read_column_wise(tmp_path, monkeypatch):
+    """A FIFO's size at open is 0: its columns start at one row and grow."""
+    data = b"subject_id,timestamp,glucose\n" + canonical_lines(["a", "b"], 300)
+    regular, fifo = tmp_path / "series.csv", tmp_path / "series.fifo"
+    regular.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
+    got = outcome(parse_series, fifo)
+    writer.join(timeout=10)
+    assert_same_outcome(got, outcome(parse_series_oracle, regular))
 
 
 @settings(max_examples=200, deadline=None)
