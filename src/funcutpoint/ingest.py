@@ -264,8 +264,8 @@ def _parse_columns(path):
         index: dict[bytes, int] = {}
         pos, row, span = pos + len(_HEADER), 0, 48 * rows
         while True:
-            if filled - pos < min(span, most) and not eof:
-                pos, filled, eof = _refill(fh, buf, pos, filled, min(span, most))
+            if filled - pos < span and not eof:
+                pos, filled, eof = _refill(fh, buf, pos, filled, span)
             if pos >= filled:  # past the end: a last line without a newline ends there
                 break
             data = buf[:filled]
@@ -297,7 +297,7 @@ def _parse_columns(path):
             codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
             # The next scan spans this block's bytes and an eighth more.
             end = int(seps[-1, 2]) + 1
-            pos, row, span = end, stop, (end - pos) * 9 // 8 + 64
+            pos, row, span = end, stop, min((end - pos) * 9 // 8 + 64, most)
     return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
 
 
