@@ -729,6 +729,7 @@ def test_fifo_is_read_column_wise(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
     got = outcome(parse_series, fifo)
     writer.join(timeout=10)
+    assert not writer.is_alive()
     assert_same_outcome(got, outcome(parse_series_oracle, regular))
 
 
