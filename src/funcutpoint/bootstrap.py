@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 SWEEP_BAND_POINTS = 512
+# Sweep band rows whose rates _aggregate rebuilds at once.
+_BAND_ROWS = 64
 METRIC_NAMES = ("sensitivity", "specificity", "youden", "auc")
 
 
@@ -93,15 +95,17 @@ def _draw_indices(rng, n: int, max_redraws: int, acceptable) -> tuple[np.ndarray
             raise RuntimeError("bootstrap infeasible: class too rare")
 
 
-def _columns(B: int, curve_m: int | None = None) -> dict[str, np.ndarray]:
+def _columns(B: int, n: int, curve_m: int | None = None) -> dict[str, np.ndarray]:
     """Preallocated replicate results: entry or column b is replicate b.
 
     The band arrays hold one row per threshold or grid point, so the band
-    quantiles select along contiguous rows.
+    quantiles select along contiguous rows. The sweep band keeps, in the
+    smallest type that holds n, the integer counts that rates divides at
+    each reference threshold, and in a last row the sentinel's.
     """
     cols = {name: np.empty(B) for name in ("c_hat", *METRIC_NAMES)}
-    cols["sens"] = np.empty((SWEEP_BAND_POINTS, B))
-    cols["spec"] = np.empty((SWEEP_BAND_POINTS, B))
+    cols["below"] = np.empty((SWEEP_BAND_POINTS + 1, B), dtype=np.min_scalar_type(n))
+    cols["case_lt"] = np.empty_like(cols["below"])
     cols["fails"] = np.zeros(B, dtype=np.int64)
     if curve_m is not None:
         cols["curve"] = np.empty((curve_m, B))
@@ -112,8 +116,15 @@ def _aggregate(criterion, point_c, cols, ref_grid, cfg, curve_grid=None):
     c_hats = cols["c_hat"]
     metric_cis = {name: _percentile_ci(cols[name], cfg.alpha) for name in METRIC_NAMES}
     qs = [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0]
-    sens_lo, sens_hi = np.quantile(cols["sens"], qs, axis=1, method="linear")
-    spec_lo, spec_hi = np.quantile(cols["spec"], qs, axis=1, method="linear")
+    # The sweep band's rates are rebuilt _BAND_ROWS rows at a time, each
+    # block with the sentinel row, so no (points, B) float array is built.
+    band = np.empty((2, 2, SWEEP_BAND_POINTS))
+    for start in range(0, SWEEP_BAND_POINTS, _BAND_ROWS):
+        rows = np.r_[start:min(start + _BAND_ROWS, SWEEP_BAND_POINTS), -1]
+        for out, rate in zip(band, rates(cols["below"][rows].T, cols["case_lt"][rows].T)):
+            out[:, rows[:-1]] = np.quantile(rate[:, :-1], qs, axis=0, method="linear",
+                                            overwrite_input=True)
+    (sens_lo, sens_hi), (spec_lo, spec_hi) = band
     summary = BootstrapSummary(
         criterion=criterion,
         c_hat=point_c,
@@ -149,8 +160,8 @@ def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols):
     divides at one threshold: below[r, k] draws and case_lt[r, k] case
     draws lie under it, and the last column, above every draw, is the
     sentinel. present marks the candidates, grid_cols the columns of the
-    reference grid's thresholds. Every rate is the same quotient as
-    optimize's.
+    reference grid's thresholds, whose counts the bands keep with the
+    sentinel's. Every rate is the same quotient as optimize's.
     """
     sens, spec = rates(below, case_lt)
     i = pick(sens, spec, criterion, present)
@@ -159,8 +170,9 @@ def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols):
     cols["specificity"][span] = spec[rows, i]
     cols["youden"][span] = sens[rows, i] + spec[rows, i] - 1.0
     cols["auc"][span] = row_aucs(sens, spec, present)
-    cols["sens"][:, span] = np.take_along_axis(sens, grid_cols, axis=1).T
-    cols["spec"][:, span] = np.take_along_axis(spec, grid_cols, axis=1).T
+    at = np.pad(grid_cols, [(0, 0), (0, 1)], constant_values=-1)
+    cols["below"][:, span] = np.take_along_axis(np.broadcast_to(below, case_lt.shape), at, 1).T
+    cols["case_lt"][:, span] = np.take_along_axis(case_lt, at, axis=1).T
     return i
 
 
@@ -193,8 +205,11 @@ def bootstrap_curves(
     serially. `matrix` is left unchanged.
     """
     n, m = matrix.shape
-    # standardise works in place, and the matrix itself is resampled below.
-    _, _, margins = standardise(matrix.copy(), labels_arr, mu_mode, group, with_sigma)
+    # Every replicate gathers its rows into one buffer rather than a fresh
+    # n x m array, whose pages a cold process would fault in anew; the point
+    # estimate is standardised in it first, since standardise works in place.
+    buf = matrix.copy()
+    _, _, margins = standardise(buf, labels_arr, mu_mode, group, with_sigma)
     point = optimize(margins, labels_arr, criterion)
     ref_grid = np.linspace(margins.min(), margins.max(), SWEEP_BAND_POINTS)
 
@@ -218,12 +233,9 @@ def bootstrap_curves(
                 return False
         return True
 
-    cols = _columns(cfg.B, m)
-    # Every replicate gathers its rows into one buffer rather than a fresh
-    # n x m array, whose pages a cold process would fault in anew. Mode
-    # "clip" keeps np.take from copying the buffer first, as mode "raise"
-    # does; every index is in range.
-    buf = np.empty_like(matrix)
+    cols = _columns(cfg.B, n, m)
+    # Mode "clip" keeps np.take from copying the buffer first, as mode
+    # "raise" does; every index is in range.
     for span in _chunks(cfg.B, n_eval + 1):
         size = span.stop - span.start
         scores = np.empty((size, n_eval))
@@ -291,7 +303,7 @@ def bootstrap_scalar(
     def draw(b):
         return _draw_indices(_substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
 
-    cols = _columns(cfg.B)
+    cols = _columns(cfg.B, n)
     for span in _chunks(cfg.B, K + 1):
         # Each replicate's draws are counted as they are drawn, so a chunk
         # holds K + 1 candidate columns per replicate, not n draws.

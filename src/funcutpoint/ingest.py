@@ -9,6 +9,7 @@ is attributed in the ingest report; nothing is lost silently.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -315,7 +316,7 @@ def _parse_series_rows(path):
     Returns what _parse_columns returns, for any file the csv module reads.
     """
     index: dict[str, int] = {}
-    times, glucose, codes = [], [], []
+    times, glucose, codes = array("q"), array("d"), array("i")
     check_header = _header_is(path, ["subject_id", "timestamp", "glucose"])
     for line_no, sid, row in subject_rows(path, str(path), check_header, unique=False):
         times.append(_parse_timestamp(row[1], path, line_no))
@@ -329,8 +330,8 @@ def _parse_series_rows(path):
             raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
         glucose.append(g)
         codes.append(index.setdefault(sid, len(index)))
-    return (list(index), np.array(times, dtype=np.int64), np.array(glucose, dtype=float),
-            np.array(codes, dtype=np.int32))
+    return (list(index), np.frombuffer(times, dtype=np.int64),
+            np.frombuffer(glucose, dtype=float), np.frombuffer(codes, dtype=np.intc))
 
 
 def parse_series(path, nominal_interval_minutes: float = 5.0):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,65 @@ def test_functional_bootstrap_chunks_match_oracle(cap, monkeypatch):
             assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
             assert hex_list([got.curve_lower, got.curve_upper]) == \
                 hex_list(want["curve_band"])
+
+
+def test_bands_from_16_bit_counts_match_oracles(monkeypatch):
+    """At n >= 256 the band counts are uint16, and blocks of 100 band rows
+    (512 is no multiple of 100) rebuild both bootstraps' sweep bands as the
+    per-replicate oracles compute them, bit for bit."""
+    monkeypatch.setattr(bootstrap, "_BAND_ROWS", 100)
+    dtypes, real_columns = [], bootstrap._columns
+
+    def recorded_columns(*args):
+        cols = real_columns(*args)
+        dtypes.append(cols["below"].dtype)
+        return cols
+
+    monkeypatch.setattr(bootstrap, "_columns", recorded_columns)
+    rng = np.random.default_rng(SEED + 11)
+    scores, labels = scalar_sample(rng, n_case=150, n_ctrl=150, delta=1.0)
+    scores = np.round(scores, 1)
+    curves, curve_labels = generate(DgpParams(a=1.0, b=1.0, n=300, seed=21,
+                                              grid=default_grid(10)))
+    for criterion in CRITERIA:
+        got = bootstrap_scalar(scores, labels, criterion, BootstrapConfig(B=30, seed=9))
+        want = bootstrap_scalar_oracle(scores, labels, criterion, B=30, seed=9)
+        assert hex_list(got.c_hats) == hex_list(want["c_hats"])
+        assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
+        assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
+        got = bootstrap_cutpoint(curves, curve_labels, criterion,
+                                 BootstrapConfig(B=30, seed=9), with_sigma=True)
+        want = bootstrap_cutpoint_oracle(curves, curve_labels, criterion, B=30, seed=9,
+                                         with_sigma=True)
+        assert hex_list(got.c_hats) == hex_list(want["c_hats"])
+        assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
+        assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
+        assert hex_list([got.curve_lower, got.curve_upper]) == hex_list(want["curve_band"])
+    assert dtypes == [np.dtype(np.uint16)] * 6
+
+
+def test_bands_hold_no_float_replicate_rows():
+    """Peak traced memory of a bootstrap whose sweep band dominates it. A
+    (512, B) float64 band is 8.2 MB at B = 2000 and 4.1 MB at B = 1000, and
+    the sensitivity and specificity bands are two of them: storing float
+    rates would peak near 25 and 13 MB."""
+    rng = np.random.default_rng(SEED + 12)
+    scores, labels = scalar_sample(rng, n_case=500, n_ctrl=500, delta=1.0)
+    scores = np.round(scores, 1)
+    curves, curve_labels = generate(DgpParams(a=1.0, b=1.0, n=60, seed=5,
+                                              grid=default_grid(10)))
+    for run, bound_mb in ((lambda: bootstrap_scalar(scores, labels, cfg=BootstrapConfig(B=2000)),
+                           12.0),
+                          (lambda: bootstrap_cutpoint(curves, curve_labels,
+                                                      cfg=BootstrapConfig(B=1000)),
+                           6.0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 def test_functional_bootstrap_thread_invariance():
