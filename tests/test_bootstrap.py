@@ -379,7 +379,7 @@ def test_bands_hold_no_float_replicate_rows():
     curves, curve_labels = generate(DgpParams(a=1.0, b=1.0, n=60, seed=5,
                                               grid=default_grid(10)))
     for run, bound_mb in ((lambda: bootstrap_scalar(scores, labels, cfg=BootstrapConfig(B=2000)),
-                           12.0),
+                           10.0),
                           (lambda: bootstrap_cutpoint(curves, curve_labels,
                                                       cfg=BootstrapConfig(B=1000)),
                            6.0)):
