@@ -2,6 +2,9 @@
 simulate, indices, roc. Every run writes its artifacts plus a manifest
 (command, argv, seed, input digests, version, wall time) into --out.
 
+Each cmd_* handler returns its artifacts as (file name, writer, *payload);
+main writes them and the manifest once it has returned, so a failed run writes none.
+
 Exit codes: 0 success, 1 computation error, 2 usage or file error.
 """
 
@@ -12,7 +15,6 @@ import hashlib
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 # No command makes a float BLAS call (tests/test_exports.py keeps it so),
@@ -41,7 +43,7 @@ from .cutpoint import (
     write_sweep_csv,
 )
 from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
-from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels, write_report_json
+from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
     default_grid,
@@ -92,6 +94,8 @@ def _c_grid_type(text: str):
         raise argparse.ArgumentTypeError("c grid must be L:U:M numeric") from None
     if m < 1 or not lo <= hi:
         raise argparse.ArgumentTypeError("c grid needs L <= U and M >= 1")
+    if not np.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("c grid needs finite L and U and a finite span U - L")
     return lo, hi, m
 
 
@@ -141,17 +145,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, argv, seed: int, inputs, t0: float) -> None:
-    write_json(out_dir / "manifest.json", {
-        "command": command,
-        "argv": list(argv),
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-
-
 def _read_scores(scores_path, column: str, labels_path):
     col = 0
 
@@ -185,18 +178,6 @@ def _read_curves(args):
     return grid, matrix, label_array(ids, parse_labels(args.labels), args.labels)
 
 
-@contextmanager
-def _file_arithmetic(args):
-    """An overflow from the values of --curves or --scores, or a top score with
-    no cut-off above it, fails naming that file, with no numpy warning."""
-    kind, path = ("curves", args.curves) if args.curves else ("scores", args.scores)
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ValueError(f"{kind} file {path}: values too large ({exc})") from None
-
-
 def _scored_sample(args):
     """(family, scores, labels) in file order: the fitted family and each
     curve's margin on the functional route; None and the scores, negated
@@ -205,15 +186,13 @@ def _scored_sample(args):
         _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
         return None, (-scores if args.direction == "low" else scores), labels_arr
     grid, matrix, labels_arr = _read_curves(args)
-    with _file_arithmetic(args):
-        mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group,
-                                        args.with_sigma)
+    mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group, args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
 
-def _ingest(args, out_dir: Path, labels_path):
-    """The subjects of --series kept by the day filter; writes report.json
-    and fails when none is kept."""
+def _ingest(args, labels_path):
+    """The subjects of --series kept by the day filter and the ingest
+    report; fails naming the series file when no subject is kept."""
     kept, _, report = ingest_cohort(
         args.series,
         labels_path,
@@ -222,83 +201,83 @@ def _ingest(args, out_dir: Path, labels_path):
         min_days=args.min_days,
         nominal_interval_minutes=args.nominal_interval,
     )
-    write_report_json(out_dir / "report.json", report)
     if not kept:
-        raise ValueError("no subjects retained after day filtering")
-    return kept
+        raise ValueError(f"{args.series}: no subjects retained after day filtering "
+                         f"({len(report['subjects'])} below --min-days {args.min_days})")
+    return kept, report
 
 
-def cmd_ingest(args, out_dir: Path) -> None:
-    kept = _ingest(args, out_dir, args.labels)
+def cmd_ingest(args):
+    kept, report = _ingest(args, args.labels)
     grid = default_grid(args.grid_size)
-    write_curves_csv(out_dir / "curves.csv", [s.subject_id for s in kept],
-                     np.vstack([empirical_quantile(s.values, grid).values for s in kept]))
-    write_grid_json(out_dir / "grid.json", grid)
+    return [("report.json", write_json, report), ("grid.json", write_grid_json, grid),
+            ("curves.csv", write_curves_csv, [s.subject_id for s in kept],
+             np.vstack([empirical_quantile(s.values, grid).values for s in kept]))]
 
 
-def cmd_fit(args, out_dir: Path) -> None:
+def cmd_fit(args):
     family, scores, labels_arr = _scored_sample(args)
     c_grid = None if args.c_grid is None else np.linspace(*args.c_grid)
-    with _file_arithmetic(args):
-        result = optimize(scores, labels_arr, args.criterion, bounds=args.bounds, c_grid=c_grid)
+    result = optimize(scores, labels_arr, args.criterion, bounds=args.bounds, c_grid=c_grid)
     extra = {"n_subjects": int(labels_arr.size)}
+    artifacts = [("sweep.csv", write_sweep_csv, result), ("roc.csv", write_roc_csv, result)]
     if family is not None:
         smoothed = None
         if args.smooth:
-            smoothed, max_change = monotone_smooth(
+            smoothed, extra["smoothing_max_change"] = monotone_smooth(
                 cutoff_curve(family, result.c_hat), SmoothConfig(args.window)
             )
-            write_curve_values_csv(out_dir / "smoothed_curve.csv", family.grid, smoothed)
-            extra["smoothing_max_change"] = max_change
-        write_cutoff_json(out_dir / "cutoff.json", family, result.c_hat,
-                          args.criterion, smoothed)
+            artifacts.append(("smoothed_curve.csv", write_curve_values_csv, family.grid,
+                              smoothed))
+        artifacts.append(("cutoff.json", write_cutoff_json, family, result.c_hat,
+                          args.criterion, smoothed))
     else:
         extra["direction"] = args.direction
         if args.direction == "low":
             extra["score_scale"] = "negated"
-    write_result_json(out_dir / "result.json", result, extra)
-    write_sweep_csv(out_dir / "sweep.csv", result)
-    write_roc_csv(out_dir / "roc.csv", result)
+    return artifacts + [("result.json", write_result_json, result, extra)]
 
 
-def cmd_bootstrap(args, out_dir: Path) -> None:
+def cmd_bootstrap(args):
     cfg = BootstrapConfig(B=args.B, alpha=args.alpha, seed=args.seed,
                           max_redraws=args.max_redraws)
     try:
-        with _file_arithmetic(args):
-            if args.curves:
-                summary = bootstrap_curves(
-                    *_read_curves(args), args.criterion, cfg,
-                    mu_mode=args.mu_mode,
-                    group=args.group,
-                    with_sigma=args.with_sigma,
-                    split_fraction=args.split_fraction,
-                )
-                write_curve_band_csv(out_dir / "curve_band.csv", summary)
-            else:
-                _, scores, labels_arr = _scored_sample(args)
-                summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
+        if args.curves:
+            summary = bootstrap_curves(
+                *_read_curves(args), args.criterion, cfg,
+                mu_mode=args.mu_mode,
+                group=args.group,
+                with_sigma=args.with_sigma,
+                split_fraction=args.split_fraction,
+            )
+        else:
+            _, scores, labels_arr = _scored_sample(args)
+            summary = bootstrap_scalar(scores, labels_arr, args.criterion, cfg)
     except ValueError as exc:
         if "degenerate sample" in str(exc):
             raise RuntimeError("bootstrap infeasible: class too rare") from None
         raise
-    write_bootstrap_summary_json(out_dir / "bootstrap.json", summary)
-    write_sweep_band_csv(out_dir / "sweep_band.csv", summary)
+    artifacts = [("bootstrap.json", write_bootstrap_summary_json, summary),
+                 ("sweep_band.csv", write_sweep_band_csv, summary)]
+    if args.curves:
+        artifacts.append(("curve_band.csv", write_curve_band_csv, summary))
+    return artifacts
 
 
-def cmd_classify(args, out_dir: Path) -> None:
+def cmd_classify(args):
     family, c_hat, criterion, _ = read_cutoff_json(args.cutoff)
     grid = read_grid_json(args.grid)
     if not np.array_equal(grid, family.grid):
         raise ValueError(f"cutoff file {args.cutoff}: grid differs from grid file {args.grid}")
     ids, matrix = read_curves_csv(args.curves, grid)
     labels_arr = label_array(ids, parse_labels(args.labels), args.labels) if args.labels else None
-    with _file_arithmetic(args):
-        margins = row_margins(matrix, family)
-    metrics = None
+    margins = row_margins(matrix, family)
+    # Python int cells: write_csv writes a bool as True and a numpy int as a float.
+    artifacts = [("predictions.csv", write_csv, ["subject_id", "margin", "prediction"],
+                  zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))]
     if labels_arr is not None:
         sens, spec, youden = confusion_at(margins, labels_arr, c_hat)
-        metrics = {
+        artifacts.append(("metrics.json", write_json, {
             "c_hat": c_hat,
             "criterion": criterion,
             "sensitivity": sens,
@@ -306,16 +285,11 @@ def cmd_classify(args, out_dir: Path) -> None:
             "youden": youden,
             "n_cases": int(labels_arr.sum()),
             "n_controls": int((1 - labels_arr).sum()),
-        }
-    # Written only once every check has passed, so a failing run leaves none.
-    # Python int cells: write_csv writes a bool as True and a numpy int as a float.
-    write_csv(out_dir / "predictions.csv", ["subject_id", "margin", "prediction"],
-              zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))
-    if metrics is not None:
-        write_json(out_dir / "metrics.json", metrics)
+        }))
+    return artifacts
 
 
-def cmd_simulate(args, out_dir: Path) -> None:
+def cmd_simulate(args):
     cells = [(a, b, n) for a in args.a for b in args.b for n in args.n]
     rows, meta = run_study(
         cells,
@@ -327,35 +301,36 @@ def cmd_simulate(args, out_dir: Path) -> None:
         spread_mode=args.spread_mode,
         u2_mode=args.u2_mode,
     )
-    write_study_csv(out_dir / "study.csv", rows)
-    write_summary_csv(out_dir / "study_summary.csv", summarize_study(rows))
     print(f"cells: {len(cells)}  replicates: {args.R}  "
           f"regenerated cohorts: {meta['regenerated']}")
+    return [("study.csv", write_study_csv, rows),
+            ("study_summary.csv", write_summary_csv, summarize_study(rows))]
 
 
-def cmd_indices(args, out_dir: Path) -> None:
-    rows = [
-        compute_indices(s, args.conga_horizon_hours, not args.tar_exclusive)
-        for s in _ingest(args, out_dir, None)
-    ]
-    write_indices_csv(out_dir / "indices.csv", rows)
-    write_json(out_dir / "indices_meta.json", {
-        "mage_convention": MAGE_CONVENTION,
-        "conga_horizon_hours": args.conga_horizon_hours,
-        "tar_inclusive": not args.tar_exclusive,
-    })
+def cmd_indices(args):
+    kept, report = _ingest(args, None)
+    rows = []
+    for s in kept:
+        try:
+            rows.append(compute_indices(s, args.conga_horizon_hours, not args.tar_exclusive))
+        except ValueError as exc:
+            raise ValueError(f"{args.series}: subject {s.subject_id!r}: {exc}") from None
+    return [("report.json", write_json, report), ("indices.csv", write_indices_csv, rows),
+            ("indices_meta.json", write_json, {
+                "mage_convention": MAGE_CONVENTION,
+                "conga_horizon_hours": args.conga_horizon_hours,
+                "tar_inclusive": not args.tar_exclusive,
+            })]
 
 
-def cmd_roc(args, out_dir: Path) -> None:
+def cmd_roc(args):
     _, scores, labels_arr = _scored_sample(args)
-    with _file_arithmetic(args):
-        result = optimize(scores, labels_arr)
-    write_roc_csv(out_dir / "roc.csv", result)
-    write_json(out_dir / "auc.json", {
+    result = optimize(scores, labels_arr)
+    return [("roc.csv", write_roc_csv, result), ("auc.json", write_json, {
         "auc": result.auc,
         "n_cases": int(labels_arr.sum()),
         "n_controls": int((1 - labels_arr).sum()),
-    })
+    })]
 
 
 def _add_scored_input_args(sub, functional_required: bool = False):
@@ -502,15 +477,35 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
+    # The commands that read a curves or scores file run with overflow raised:
+    # an overflow from its values, or a top score with no cut-off above it,
+    # fails naming that file, with no numpy warning.
+    kind = "curves" if getattr(args, "curves", None) else "scores"
+    path = getattr(args, kind, None)
     try:
-        args.handler(args, out_dir)
+        with np.errstate(over="raise" if path else None):
+            artifacts = args.handler(args)
+        for name, write, *payload in artifacts:
+            write(out_dir / name, *payload)
+    except FloatingPointError as exc:
+        if path is None:
+            raise
+        print(f"error: {kind} file {path}: values too large ({exc})", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(out_dir, args.command, argv, args.seed, input_paths, t0)
+    write_json(out_dir / "manifest.json", {
+        "command": args.command,
+        "argv": argv,
+        "seed": args.seed,
+        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - t0,
+    })
     return 0
 
 

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .quantiles import subject_rows, write_json
+from .quantiles import subject_rows
 
 __all__ = [
     "SubjectSeries",
@@ -24,7 +24,6 @@ __all__ = [
     "label_array",
     "filter_days",
     "ingest_cohort",
-    "write_report_json",
 ]
 
 SECONDS_PER_DAY = 86400
@@ -529,7 +528,3 @@ def ingest_cohort(
         },
     }
     return kept, labels, report
-
-
-def write_report_json(path, report) -> None:
-    write_json(path, report)

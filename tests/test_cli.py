@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -993,6 +994,90 @@ def test_classify_overflowing_margins_are_one_error_line(tmp_path, capsys, label
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def test_smoothed_cutoff_overflow_is_one_error_line(tmp_path, capsys):
+    """Finite, nondecreasing curves whose column means fit but whose cut-off
+    curve's moving average overflows: fit --smooth fails with one error line
+    naming the curves file, with no numpy warning, and writes nothing."""
+    curves, grid, labels = tmp_path / "curves.csv", tmp_path / "grid.json", tmp_path / "labels.csv"
+    write_curves_csv(curves, list("abcd"), np.array([
+        [4e307, 4.05e307, 4.1e307, 4.15e307, 4.2e307],
+        [4e307, 4e307, 4.1e307, 4.1e307, 4.2e307],
+        [4e307, 4.01e307, 4.02e307, 4.03e307, 4.04e307],
+        [4e307, 4.1e307, 4.1e307, 4.2e307, 4.2e307],
+    ]))
+    write_grid_json(grid, default_grid(5))
+    write_labels_file(labels, {"a": 1, "b": 0, "c": 0, "d": 1})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fit", "--smooth", "--window", "5", "--curves", str(curves),
+                   "--grid", str(grid), "--labels", str(labels), "--out", str(out)])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: curves file {curves}: values too large (overflow encountered in reduce)\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("c_grid", ["-inf:inf:3", "0:inf:3", "-inf:0:3", "inf:inf:2",
+                                    "-1.7e308:1.7e308:5"])
+def test_c_grid_must_be_finite(scores_files, tmp_path, capsys, c_grid):
+    """A --c-grid with an infinite end, or whose span U - L overflows, is a
+    usage error: exit 2 before any file is read, and no output directory."""
+    scores, labels = scores_files
+    out = tmp_path / "out"
+    rc = main(["fit", f"--c-grid={c_grid}", "--scores", str(scores), "--labels", str(labels),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --c-grid: c grid needs finite L and U and a finite span U - L\n")
+    assert not out.exists()
+
+
+@pytest.fixture
+def three_day_series(tmp_path):
+    series = tmp_path / "series.csv"
+    write_series_file(series, [row for day in range(3)
+                               for row in uniform_day_rows("x", day, 100.0, step_minutes=15)])
+    write_labels_file(tmp_path / "labels.csv", {"x": 1})
+    return series, tmp_path / "labels.csv"
+
+
+def test_indices_error_names_series_and_subject(three_day_series, tmp_path, capsys):
+    """A CONGA horizon longer than a subject's span fails with one error
+    line naming the series file and the subject, and writes nothing."""
+    series, _ = three_day_series
+    out = tmp_path / "out"
+    rc = main(["indices", "--series", str(series), "--nominal-interval", "15",
+               "--conga-horizon-hours", "100", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {series}: subject 'x': series span does not exceed the CONGA horizon\n")
+    assert list(out.iterdir()) == []
+
+
+def test_ingest_with_no_subject_left_writes_nothing(three_day_series, tmp_path, capsys):
+    """When every subject falls below --min-days, ingest fails with one
+    error line naming the series file and the count, and writes no
+    report.json."""
+    series, labels = three_day_series
+    out = tmp_path / "out"
+    rc = main(["ingest", "--series", str(series), "--labels", str(labels),
+               "--nominal-interval", "15", "--min-days", "9", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {series}: no subjects retained after day filtering (1 below --min-days 9)\n")
+    assert list(out.iterdir()) == []
+
+
+def test_handlers_return_their_artifacts():
+    """Each cmd_* handler takes args alone: main writes what it returns."""
+    handlers = [name for name in dir(cli) if name.startswith("cmd_")]
+    assert len(handlers) == 7
+    for name in handlers:
+        assert list(inspect.signature(getattr(cli, name)).parameters) == ["args"], name
 
 
 def test_scores_file_with_blank_first_line_is_one_error_line(tmp_path, capsys):
