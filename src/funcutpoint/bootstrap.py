@@ -20,8 +20,7 @@ import numpy as np
 
 from .cutpoint import (_chunks, candidates, counted_sweeps, optimize, pick, rates, row_aucs,
                        sorted_sweeps, validate_sample)
-from .ingest import label_array
-from .quantiles import curve_matrix, write_csv, write_json
+from .quantiles import curve_matrix, label_array, write_csv, write_json
 from .threshold import standardise
 
 __all__ = [

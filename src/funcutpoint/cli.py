@@ -43,14 +43,16 @@ from .cutpoint import (
     write_sweep_csv,
 )
 from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
-from .ingest import GAP_MODES, ingest_cohort, label_array, parse_labels
+from .ingest import GAP_MODES, ingest_cohort
 from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
 from .quantiles import (
     default_grid,
     empirical_quantile,
+    label_array,
+    parse_labels,
     read_curves_csv,
     read_grid_json,
-    subject_rows,
+    read_scores_csv,
     write_csv,
     write_curves_csv,
     write_grid_json,
@@ -145,48 +147,31 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _read_scores(scores_path, column: str, labels_path):
-    col = 0
-
-    def check_header(header):
-        nonlocal col
-        names = [h.strip() for h in header]
-        if not names or names[0] != "subject_id":
-            raise ValueError(f"{scores_path}: first column must be subject_id")
-        if column not in names:
-            raise ValueError(f"{scores_path}: no column named {column!r}")
-        col = names.index(column)
-
-    ids, values = [], []
-    for line_no, sid, row in subject_rows(scores_path, str(scores_path), check_header):
-        ids.append(sid)
-        try:
-            values.append(float(row[col]))
-        except ValueError:
-            raise ValueError(
-                f"{scores_path} line {line_no}: non-numeric score {row[col]!r}"
-            ) from None
-        if not np.isfinite(values[-1]):
-            raise ValueError(f"{scores_path} line {line_no}: non-finite score {row[col]!r}")
-    return ids, np.asarray(values), label_array(ids, parse_labels(labels_path), labels_path)
+def _join_labels(ids, labels_path):
+    """The labels of `ids` from the labels file, in order."""
+    return label_array(ids, parse_labels(labels_path), labels_path)
 
 
-def _read_curves(args):
-    """The grid, the n x m matrix of --curves and the labels of its rows."""
-    grid = read_grid_json(args.grid)
-    ids, matrix = read_curves_csv(args.curves, grid)
-    return grid, matrix, label_array(ids, parse_labels(args.labels), args.labels)
+def _labelled_sample(args):
+    """The grid (None on the scalar route), the n x m matrix of --curves or
+    the scores of --scores, and the labels of their rows, in file order."""
+    grid = None
+    if args.scores:
+        ids, values = read_scores_csv(args.scores, args.score_column)
+    else:
+        grid = read_grid_json(args.grid)
+        ids, values = read_curves_csv(args.curves, grid)
+    return grid, values, _join_labels(ids, args.labels)
 
 
 def _scored_sample(args):
     """(family, scores, labels) in file order: the fitted family and each
     curve's margin on the functional route; None and the scores, negated
     for --direction low, on the scalar route."""
-    if args.scores:
-        _, scores, labels_arr = _read_scores(args.scores, args.score_column, args.labels)
-        return None, (-scores if args.direction == "low" else scores), labels_arr
-    grid, matrix, labels_arr = _read_curves(args)
-    mu, sigma, scores = standardise(matrix, labels_arr, args.mu_mode, args.group, args.with_sigma)
+    grid, values, labels_arr = _labelled_sample(args)
+    if grid is None:
+        return None, (-values if args.direction == "low" else values), labels_arr
+    mu, sigma, scores = standardise(values, labels_arr, args.mu_mode, args.group, args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
 
@@ -244,7 +229,7 @@ def cmd_bootstrap(args):
     try:
         if args.curves:
             summary = bootstrap_curves(
-                *_read_curves(args), args.criterion, cfg,
+                *_labelled_sample(args), args.criterion, cfg,
                 mu_mode=args.mu_mode,
                 group=args.group,
                 with_sigma=args.with_sigma,
@@ -270,7 +255,7 @@ def cmd_classify(args):
     if not np.array_equal(grid, family.grid):
         raise ValueError(f"cutoff file {args.cutoff}: grid differs from grid file {args.grid}")
     ids, matrix = read_curves_csv(args.curves, grid)
-    labels_arr = label_array(ids, parse_labels(args.labels), args.labels) if args.labels else None
+    labels_arr = _join_labels(ids, args.labels) if args.labels else None
     margins = row_margins(matrix, family)
     # Python int cells: write_csv writes a bool as True and a numpy int as a float.
     artifacts = [("predictions.csv", write_csv, ["subject_id", "margin", "prediction"],
@@ -333,7 +318,7 @@ def cmd_roc(args):
     })]
 
 
-def _add_scored_input_args(sub, functional_required: bool = False):
+def _add_scored_input_args(sub):
     sub.add_argument("--curves", help="curves CSV (functional route)")
     sub.add_argument("--grid", help="probability grid JSON (with --curves)")
     sub.add_argument("--scores", help="scalar scores CSV (comparison route)")
@@ -360,12 +345,7 @@ def _scored_inputs(args):
         raise _UsageError("exactly one of --curves or --scores is required")
     if args.curves and not args.grid:
         raise _UsageError("--curves requires --grid")
-    paths = [args.labels]
-    if args.curves:
-        paths += [args.curves, args.grid]
-    else:
-        paths.append(args.scores)
-    return paths
+    return [args.labels] + ([args.curves, args.grid] if args.curves else [args.scores])
 
 
 class _UsageError(Exception):

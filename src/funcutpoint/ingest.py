@@ -15,13 +15,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .quantiles import subject_rows
+from .quantiles import _header_is, parse_labels, subject_rows
 
 __all__ = [
     "SubjectSeries",
     "parse_series",
-    "parse_labels",
-    "label_array",
     "filter_days",
     "ingest_cohort",
 ]
@@ -301,14 +299,6 @@ def _parse_columns(path):
     return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
 
 
-def _header_is(path, names):
-    """subject_rows' check_header for a file whose stripped header is `names`."""
-    def check_header(header):
-        if [h.strip() for h in header] != names:
-            raise ValueError(f"{path}: expected header {','.join(names)}")
-    return check_header
-
-
 def _parse_series_rows(path):
     """The per-row reader: the reference for every form and error message.
 
@@ -387,26 +377,6 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     return series, stats
 
 
-def parse_labels(path) -> dict[str, int]:
-    labels: dict[str, int] = {}
-    check_header = _header_is(path, ["subject_id", "label"])
-    for line_no, sid, row in subject_rows(path, str(path), check_header):
-        raw = row[1].strip()
-        if raw not in ("0", "1"):
-            raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
-        labels[sid] = int(raw)
-    return labels
-
-
-def label_array(ids, labels: dict[str, int], source=None) -> np.ndarray:
-    """The labels of `ids`, in order; the first id without one fails, naming source."""
-    try:
-        return np.array([labels[sid] for sid in ids], dtype=int)
-    except KeyError as exc:
-        where = f"{source}: " if source is not None else ""
-        raise ValueError(f"{where}no label for subject {exc.args[0]!r}") from None
-
-
 def filter_days(
     series: SubjectSeries,
     max_gap_minutes: float = 120.0,
@@ -475,9 +445,11 @@ def ingest_cohort(
 
     Returns (kept series, labels, report). Subjects with fewer than
     min_days retained days are excluded from the kept list but stay in
-    the report with excluded=True. Labeled subjects absent from the
-    series file are reported as missing, not errors.
+    the report with excluded=True, so min_days must be at least 1. Labeled
+    subjects absent from the series file are reported as missing, not errors.
     """
+    if min_days < 1:
+        raise ValueError("min_days must be at least 1")
     series, stats = parse_series(series_path, nominal_interval_minutes)
     labels = parse_labels(labels_path) if labels_path is not None else {}
 
@@ -505,17 +477,9 @@ def ingest_cohort(
             kept.append(filtered)
 
     missing = sorted(sid for sid in labels if sid not in stats)
-    totals = {
-        key: int(sum(rec[key] for rec in subjects.values()))
-        for key in (
-            "records_in",
-            "deduped",
-            "clamped",
-            "records_dropped_day_filter",
-            "records_dropped_exclusion",
-            "records_retained",
-        )
-    }
+    totals = {key: int(sum(rec[key] for rec in subjects.values()))
+              for key in ("records_in", "deduped", "clamped", "records_dropped_day_filter",
+                          "records_dropped_exclusion", "records_retained")}
     report = {
         "subjects": subjects,
         "missing_subjects": missing,

@@ -1,5 +1,5 @@
 """Distributional representation: empirical quantile curves on a shared
-probability grid, and their grid and curves files.
+probability grid, and the grid, curves, scores and labels files.
 
 Every artifact the package writes goes through write_json or write_csv,
 which own its format.
@@ -23,6 +23,9 @@ __all__ = [
     "read_grid_json",
     "write_curves_csv",
     "read_curves_csv",
+    "read_scores_csv",
+    "parse_labels",
+    "label_array",
     "write_json",
     "write_csv",
 ]
@@ -178,6 +181,14 @@ def subject_rows(path, name: str, check_header, strip: bool = True, unique: bool
         raise ValueError(f"{name}: no data rows")
 
 
+def _header_is(path, names):
+    """subject_rows' check_header for a file whose stripped header is `names`."""
+    def check_header(header):
+        if [h.strip() for h in header] != names:
+            raise ValueError(f"{path}: expected header {','.join(names)}")
+    return check_header
+
+
 def _is_number(value) -> bool:
     # JSON true and false load as bool, a subclass of int.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -259,3 +270,48 @@ def read_curves_csv(path, grid) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{name} line {line_no}: {exc}") from None
         rows[sid] = values
     return list(rows), np.vstack(list(rows.values()))
+
+
+def read_scores_csv(path, column: str) -> tuple[list[str], np.ndarray]:
+    """The ids of a scores file and its `column` of finite scores, in file order."""
+    col = 0
+
+    def check_header(header):
+        nonlocal col
+        names = [h.strip() for h in header]
+        if not names or names[0] != "subject_id":
+            raise ValueError(f"{path}: first column must be subject_id")
+        if column not in names:
+            raise ValueError(f"{path}: no column named {column!r}")
+        col = names.index(column)
+
+    ids, values = [], []
+    for line_no, sid, row in subject_rows(path, str(path), check_header):
+        ids.append(sid)
+        try:
+            values.append(float(row[col]))
+        except ValueError:
+            raise ValueError(f"{path} line {line_no}: non-numeric score {row[col]!r}") from None
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"{path} line {line_no}: non-finite score {row[col]!r}")
+    return ids, np.asarray(values)
+
+
+def parse_labels(path) -> dict[str, int]:
+    labels: dict[str, int] = {}
+    check_header = _header_is(path, ["subject_id", "label"])
+    for line_no, sid, row in subject_rows(path, str(path), check_header):
+        raw = row[1].strip()
+        if raw not in ("0", "1"):
+            raise ValueError(f"{path} line {line_no}: label must be 0 or 1, got {raw!r}")
+        labels[sid] = int(raw)
+    return labels
+
+
+def label_array(ids, labels: dict[str, int], source=None) -> np.ndarray:
+    """The labels of `ids`, in order; the first id without one fails, naming source."""
+    try:
+        return np.array([labels[sid] for sid in ids], dtype=int)
+    except KeyError as exc:
+        where = f"{source}: " if source is not None else ""
+        raise ValueError(f"{where}no label for subject {exc.args[0]!r}") from None

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutpoint import CRITERIA
-from .ingest import label_array
 from .quantiles import (QuantileCurve, check_grid, curve_matrix, json_number, json_numbers,
-                        load_json_object, write_json)
+                        label_array, load_json_object, write_json)
 
 __all__ = [
     "ThresholdFamily",

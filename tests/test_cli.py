@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint import cli
-from funcutpoint.cli import _read_scores, main
+from funcutpoint.cli import main
 from funcutpoint.cutpoint import roc_points
-from funcutpoint.ingest import parse_labels, parse_series
-from funcutpoint.quantiles import (QuantileCurve, default_grid, read_curves_csv, read_grid_json,
+from funcutpoint.ingest import parse_series
+from funcutpoint.quantiles import (QuantileCurve, default_grid, label_array, parse_labels,
+                                   read_curves_csv, read_grid_json, read_scores_csv,
                                    write_curves_csv, write_grid_json)
 from funcutpoint.threshold import ThresholdFamily, read_cutoff_json, write_cutoff_json
 
@@ -1072,6 +1073,22 @@ def test_ingest_with_no_subject_left_writes_nothing(three_day_series, tmp_path, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["ingest", "indices"])
+@pytest.mark.parametrize("min_days", [0, -1])
+def test_min_days_below_one_is_one_error_line(three_day_series, tmp_path, capsys, command,
+                                              min_days):
+    """A --min-days below 1 would exclude no subject, so ingest and indices
+    reject it with one error line, exit 1 and write nothing."""
+    series, labels = three_day_series
+    out = tmp_path / "out"
+    labels_args = ["--labels", str(labels)] if command == "ingest" else []
+    rc = main([command, "--series", str(series), *labels_args, "--nominal-interval", "15",
+               "--min-days", str(min_days), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: min_days must be at least 1\n"
+    assert list(out.iterdir()) == []
+
+
 def test_handlers_return_their_artifacts():
     """Each cmd_* handler takes args alone: main writes what it returns."""
     handlers = [name for name in dir(cli) if name.startswith("cmd_")]
@@ -1089,6 +1106,12 @@ def test_scores_file_with_blank_first_line_is_one_error_line(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {scores}: first column must be subject_id\n"
+
+
+def _read_scores(scores, labels):
+    """The scores reader and the label join of the scalar route, as the CLI runs them."""
+    ids, values = read_scores_csv(scores, "score")
+    return ids, values, label_array(ids, parse_labels(labels), labels)
 
 
 SCORE_IDS = st.text(alphabet="abXY09_-.", min_size=1, max_size=6)
@@ -1114,7 +1137,7 @@ def test_scores_csv_round_trip_is_exact(tmp_path, rows, position):
             writer.writerow([sid, *fields])
     labels = tmp_path / "labels.csv"
     write_labels_file(labels, {sid: z for sid, _, z in reversed(rows)})
-    ids, values, labs = _read_scores(scores, "score", labels)
+    ids, values, labs = _read_scores(scores, labels)
     assert ids == [sid for sid, _, _ in rows]
     assert [v.hex() for v in values] == [v.hex() for _, v, _ in rows]
     assert labs.tolist() == [z for _, _, z in rows]
@@ -1142,7 +1165,7 @@ def test_scores_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defec
     labels = tmp_path / "labels.csv"
     write_labels_file(labels, {"a": 0, "b": 1, "c": 1, "d": 0})
     with pytest.raises(ValueError) as exc:
-        _read_scores(scores, "score", labels)
+        _read_scores(scores, labels)
     assert str(exc.value) == f"{scores} line {line_no}: {message}"
 
 
@@ -1154,7 +1177,7 @@ ROW_READERS = {
                lambda path: parse_series(path)),
     "labels": ("subject_id,label", ["a,0", "b,1"], lambda path: parse_labels(path)),
     "scores": ("subject_id,score", ["a,0.5", "b,1.5"],
-               lambda path: _read_scores(path, "score", path.with_name("labels.csv"))),
+               lambda path: _read_scores(path, path.with_name("labels.csv"))),
     "curves": ("subject_id,rho_1,rho_2", ["a,1.0,2.0", "b,1.5,2.5"],
                lambda path: read_curves_csv(path, default_grid(2))),
 }

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import pkgutil
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -142,6 +144,46 @@ def test_cli_reads_curves_as_one_matrix():
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     assert names & {"QuantileCurve", "curve_matrix"} == set()
+
+
+def test_curve_modules_leave_the_series_decoder_unloaded():
+    """threshold, bootstrap and simulate read subject tables through
+    quantiles: in a fresh process, importing them loads no funcutpoint.ingest."""
+    src = str(Path(funcutpoint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, funcutpoint.threshold, funcutpoint.bootstrap, funcutpoint.simulate; "
+             "print(*sorted(m for m in sys.modules if m.startswith('funcutpoint.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = proc.stdout.split()
+    assert "funcutpoint.simulate" in loaded
+    assert "funcutpoint.ingest" not in loaded
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The modules a source file imports, by any spelling, relative imports
+    resolved against funcutpoint."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "funcutpoint." * bool(node.level) + (node.module or "")
+            if module.rstrip(".") == "funcutpoint":
+                found.update(f"funcutpoint.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return found
+
+
+def test_only_cli_and_indices_import_ingest():
+    """Only the commands that read series import the series decoder: the
+    CLI and indices, whose input is a SubjectSeries."""
+    src = Path(funcutpoint.__file__).parent
+    importers = {path.name for path in src.glob("*.py")
+                 if "funcutpoint.ingest" in _imported_modules(path)}
+    assert importers == {"cli.py", "indices.py"}
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -21,9 +21,9 @@ from funcutpoint.ingest import (
     SubjectSeries,
     filter_days,
     ingest_cohort,
-    parse_labels,
     parse_series,
 )
+from funcutpoint.quantiles import parse_labels
 
 SEED = 20240815
 DAY_MINUTES = 1440
@@ -290,6 +290,15 @@ def test_ingest_without_labels(tmp_path):
     assert labels == {}
     assert report["missing_subjects"] == []
     assert {s.subject_id for s in kept} == {"s_good", "s_short"}
+
+
+@pytest.mark.parametrize("min_days", [0, -1])
+def test_ingest_cohort_rejects_min_days_below_one(tmp_path, min_days):
+    """min_days below 1 excludes no subject, not even one with no retained
+    day, so it fails before the series file is read (here it does not exist)."""
+    with pytest.raises(ValueError) as exc:
+        ingest_cohort(tmp_path / "absent.csv", min_days=min_days)
+    assert str(exc.value) == "min_days must be at least 1"
 
 
 # --- Columnar fast path against the per-row oracle --------------------------
