@@ -193,8 +193,8 @@ def _ingest(args, labels_path):
 
 
 def cmd_ingest(args):
-    kept, report = _ingest(args, args.labels)
     grid = default_grid(args.grid_size)
+    kept, report = _ingest(args, args.labels)
     return [("report.json", write_json, report), ("grid.json", write_grid_json, grid),
             ("curves.csv", write_curves_csv, [s.subject_id for s in kept],
              np.vstack([empirical_quantile(s.values, grid).values for s in kept]))]
@@ -293,6 +293,8 @@ def cmd_simulate(args):
 
 
 def cmd_indices(args):
+    if not args.conga_horizon_hours > 0:
+        raise ValueError("--conga-horizon-hours must be positive")
     kept, report = _ingest(args, None)
     rows = []
     for s in kept:

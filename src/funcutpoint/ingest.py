@@ -84,11 +84,9 @@ def _parse_timestamp(raw: str, path, line_no: int) -> int:
 # below and declines (returns None) on anything else, so every other input,
 # and every error message, goes through the per-row reader.
 _HEADER = b"subject_id,timestamp,glucose\n"
-# Rows decoded per block: bounds the per-block temporaries.
-_BLOCK_ROWS = 1 << 13
-# Bytes asked for by each read of the file: the buffer holds a timestamp lead,
-# the most bytes a block of canonical lines spans and one read.
-_READ_BYTES = 1 << 20
+# Bytes asked for by each read of the file. The whole lines of each read are
+# decoded as one block, so this bounds the per-block temporaries.
+_READ_BYTES = 1 << 18
 _NL, _QUOTE, _COMMA, _SPACE, _DOT, _ZERO, _Z = (ord(c) for c in '\n", .0Z')
 # The shortest canonical line, "a,YYYY-MM-DDTHH:MM:SS,0\n", bounds the row count.
 _MIN_LINE = 24
@@ -114,21 +112,15 @@ _POW10 = np.array([float(10 ** k) for k in range(_GLUCOSE_DIGITS)])
 _MAX_LINE = _MAX_ID_BYTES + _TS_WIDTH + _GLUCOSE_DIGITS + 6
 
 
-def _row_separators(buf, pos: int, rows: int, span: int):
-    """(lines, 3) offsets of the two commas and the newline of the next `rows`
-    lines from pos (fewer at the end; a last line may end at len(buf)), from
-    one scan of about `span` bytes; None when a line has other separators."""
-    while True:
-        seg = buf[pos:pos + span]
-        is_sep = seg == _NL
-        is_sep |= seg == _COMMA
-        at = np.flatnonzero(is_sep)[:3 * rows]
-        if at.size == 3 * rows or pos + span >= buf.size:
-            break
-        span *= 2
+def _row_separators(buf, pos: int, end: int):
+    """(lines, 3) offsets of the two commas and the newline of each line of
+    buf[pos:end], which ends in a newline; None when a line has other
+    separators."""
+    seg = buf[pos:end]
+    is_sep = seg == _NL
+    is_sep |= seg == _COMMA
+    at = np.flatnonzero(is_sep)
     newline = seg[at] == _NL
-    if at.size < 3 * rows and buf[-1] != _NL:
-        at, newline = np.append(at, buf.size - pos), np.append(newline, True)
     if at.size % 3 or not newline[2::3].all() or np.count_nonzero(newline) * 3 != at.size:
         return None
     return (at + pos).reshape(-1, 3)
@@ -136,7 +128,7 @@ def _row_separators(buf, pos: int, rows: int, span: int):
 
 def _windows(buf, at, width: int):
     """Rows of the `width` bytes from each (increasing) offset in at, zero past buf's end."""
-    if at[-1] + width > buf.size:  # only a file's last lines run past its end
+    if at[-1] + width > buf.size:  # a block's last lines may run past the bytes read
         buf = np.concatenate([buf[at[0]:], np.zeros(width, dtype=np.uint8)])
         at = at - at[0]
     # One void item per window: the fancy index copies whole items.
@@ -227,56 +219,50 @@ def _decode_block(buf, pos: int, seps):
     return None if times is None or glucose is None else (ids, times, glucose)
 
 
-def _refill(fh, buf, pos: int, filled: int, need: int):
-    """Move the unread bytes buf[pos:filled], and the _TS_LEAD bytes before
-    them that the first timestamp window starts in, to the front of buf; then
-    read behind them until `need` bytes follow pos or the file ends.
-    Returns (pos, filled, at end of file)."""
-    keep = pos - _TS_LEAD
-    buf[:filled - keep] = buf[keep:filled]
-    pos, filled = _TS_LEAD, filled - keep
-    while filled - pos < need:
-        got = fh.readinto(buf[filled:filled + _READ_BYTES])
-        if not got:
-            return pos, filled, True
-        filled += got
-    return pos, filled, False
-
-
 def _parse_columns(path):
     """Decode a canonical series file into (ids, times, glucose, codes), codes
     indexing ids in first-appearance order; None unless wholly canonical.
 
-    The file is read through one buffer, refilled before a block that may run
-    past the bytes read, so memory is the columns plus the buffer."""
-    rows, most = _BLOCK_ROWS, _MAX_LINE * _BLOCK_ROWS
+    The file is read through one buffer, and the whole lines of each read are
+    decoded as one block, so memory is the columns plus the buffer."""
     with open(path, "rb", buffering=0) as fh:
         # No more rows fit in the size at open; the pages past the rows
         # decoded are never touched. The columns grow if the file does.
         cap = max(os.fstat(fh.fileno()).st_size - len(_HEADER), 0) // _MIN_LINE + 1
         times, glucose, codes = np.empty(cap, np.int64), np.empty(cap), np.empty(cap, np.int32)
-        buf = np.empty(_TS_LEAD + most + _READ_BYTES, dtype=np.uint8)
-        pos, filled, eof = _refill(fh, buf, _TS_LEAD, _TS_LEAD, len(_HEADER) + 1)
-        if filled - pos <= len(_HEADER) or buf[pos:pos + len(_HEADER)].tobytes() != _HEADER:
-            return None
+        # A read lands behind the line the last one cut and its timestamp lead.
+        buf = np.empty(_TS_LEAD + _MAX_LINE + _READ_BYTES, dtype=np.uint8)
         index: dict[bytes, int] = {}
-        pos, row, span = pos + len(_HEADER), 0, 48 * rows
+        pos = filled = _TS_LEAD
+        header, row = True, 0
         while True:
-            if filled - pos < span and not eof:
-                pos, filled, eof = _refill(fh, buf, pos, filled, span)
-            if pos >= filled:  # past the end: a last line without a newline ends there
+            # Move the unread bytes, and the _TS_LEAD bytes before them that
+            # the first timestamp window starts in, to the front of buf.
+            keep = pos - _TS_LEAD
+            buf[:filled - keep] = buf[keep:filled]
+            pos, filled = _TS_LEAD, filled - keep
+            got = fh.readinto(buf[filled:filled + _READ_BYTES])
+            filled += got
+            if filled == pos:  # the end of the file, every line decoded
                 break
-            data = buf[:filled]
-            seps = _row_separators(data, pos, rows, span)
-            if not eof and (seps is None or len(seps) < rows or seps[-1, 2] == filled):
-                # A short block before the end of the file, or one whose last
-                # line ends at the end of the buffer, may only need more bytes;
-                # with all that a canonical block spans read, it is not one.
-                if filled - pos >= most:
+            if not got and buf[filled - 1] != _NL:
+                buf[filled] = _NL  # the file's last line ends at its end
+                filled += 1
+            tail = max(pos, filled - _MAX_LINE - 1)
+            newlines = np.flatnonzero(buf[tail:filled] == _NL)
+            if not newlines.size:
+                if filled - pos > _MAX_LINE:  # no canonical line is that long
                     return None
-                span = most
                 continue
-            block = None if seps is None else _decode_block(data, pos, seps)
+            end = tail + int(newlines[-1]) + 1
+            if header:
+                if buf[pos:min(end, pos + len(_HEADER))].tobytes() != _HEADER:
+                    return None
+                pos, header = pos + len(_HEADER), False
+                if pos == end:
+                    continue
+            seps = _row_separators(buf, pos, end)
+            block = None if seps is None else _decode_block(buf[:filled], pos, seps)
             if block is None:
                 return None
             ids, block_times, block_glucose = block
@@ -293,9 +279,9 @@ def _parse_columns(path):
                     column.resize(2 * stop, refcheck=False)
             times[row:stop], glucose[row:stop] = block_times, block_glucose
             codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
-            # The next scan spans this block's bytes and an eighth more.
-            end = int(seps[-1, 2]) + 1
-            pos, row, span = end, stop, min((end - pos) * 9 // 8 + 64, most)
+            pos, row = end, stop
+    if not row:  # no data rows: the per-row reader names the error
+        return None
     return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
 
 
@@ -377,6 +363,13 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     return series, stats
 
 
+def _check_day_filter(max_gap_minutes: float, gap_mode: str) -> None:
+    if gap_mode not in GAP_MODES:
+        raise ValueError(f"unknown gap mode: {gap_mode!r}")
+    if not max_gap_minutes > 0:
+        raise ValueError("max_gap_minutes must be positive")
+
+
 def filter_days(
     series: SubjectSeries,
     max_gap_minutes: float = 120.0,
@@ -390,10 +383,7 @@ def filter_days(
     day when any one delta exceeds max_gap_minutes; "cumulative" (default)
     when the summed non-acquisition time does.
     """
-    if gap_mode not in GAP_MODES:
-        raise ValueError(f"unknown gap mode: {gap_mode!r}")
-    if not max_gap_minutes > 0:
-        raise ValueError("max_gap_minutes must be positive")
+    _check_day_filter(max_gap_minutes, gap_mode)
     t = series.times
     tol = GAP_TOLERANCE_FACTOR * series.nominal_interval_minutes * 60.0
     max_gap = max_gap_minutes * 60.0
@@ -447,9 +437,13 @@ def ingest_cohort(
     min_days retained days are excluded from the kept list but stay in
     the report with excluded=True, so min_days must be at least 1. Labeled
     subjects absent from the series file are reported as missing, not errors.
+    Every parameter is checked before the series file is read.
     """
     if min_days < 1:
         raise ValueError("min_days must be at least 1")
+    if not nominal_interval_minutes > 0:
+        raise ValueError("nominal interval must be positive")
+    _check_day_filter(max_gap_minutes, gap_mode)
     series, stats = parse_series(series_path, nominal_interval_minutes)
     labels = parse_labels(labels_path) if labels_path is not None else {}
 

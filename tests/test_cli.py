@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_day_rows, write_labels_file, write_series_file
-from funcutpoint import cli
+from funcutpoint import cli, ingest
 from funcutpoint.cli import main
 from funcutpoint.cutpoint import roc_points
 from funcutpoint.ingest import parse_series
@@ -1086,6 +1086,37 @@ def test_min_days_below_one_is_one_error_line(three_day_series, tmp_path, capsys
                "--min-days", str(min_days), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: min_days must be at least 1\n"
+    assert list(out.iterdir()) == []
+
+
+BAD_OPTIONS = [
+    ("ingest", "--grid-size", "0", "grid size must be >= 1"),
+    ("indices", "--conga-horizon-hours", "0", "--conga-horizon-hours must be positive"),
+    ("indices", "--conga-horizon-hours", "nan", "--conga-horizon-hours must be positive"),
+] + [(command, option, value, message) for command in ("ingest", "indices")
+     for option, value, message in [
+         ("--max-gap-minutes", "0", "max_gap_minutes must be positive"),
+         ("--max-gap-minutes", "nan", "max_gap_minutes must be positive"),
+         ("--nominal-interval", "0", "nominal interval must be positive"),
+         ("--nominal-interval", "-5", "nominal interval must be positive"),
+     ]]
+
+
+@pytest.mark.parametrize("command, option, value, message", BAD_OPTIONS,
+                         ids=[f"{c}{o}={v}" for c, o, v, _ in BAD_OPTIONS])
+def test_bad_options_fail_before_the_series_is_read(three_day_series, tmp_path, monkeypatch,
+                                                    capsys, command, option, value, message):
+    """A bad option fails with one error line about the option, not about
+    the series file or a subject, before the series is parsed; exit 1 and
+    nothing written."""
+    series, labels = three_day_series
+    out = tmp_path / "out"
+    monkeypatch.setattr(ingest, "parse_series", lambda *args: pytest.fail("series parsed"))
+    labels_args = ["--labels", str(labels)] if command == "ingest" else []
+    rc = main([command, "--series", str(series), *labels_args, option, value,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 

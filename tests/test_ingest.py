@@ -301,6 +301,21 @@ def test_ingest_cohort_rejects_min_days_below_one(tmp_path, min_days):
     assert str(exc.value) == "min_days must be at least 1"
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_gap_minutes": 0}, "max_gap_minutes must be positive"),
+    ({"max_gap_minutes": float("nan")}, "max_gap_minutes must be positive"),
+    ({"nominal_interval_minutes": 0}, "nominal interval must be positive"),
+    ({"nominal_interval_minutes": float("nan")}, "nominal interval must be positive"),
+    ({"gap_mode": "bogus"}, "unknown gap mode: 'bogus'"),
+], ids=["max_gap_0", "max_gap_nan", "nominal_0", "nominal_nan", "gap_mode"])
+def test_ingest_cohort_checks_parameters_before_reading(tmp_path, kwargs, message):
+    """Each day-filter parameter fails with its own error before the series
+    file is read (here it does not exist)."""
+    with pytest.raises(ValueError) as exc:
+        ingest_cohort(tmp_path / "absent.csv", **kwargs)
+    assert str(exc.value) == message
+
+
 # --- Columnar fast path against the per-row oracle --------------------------
 
 CANONICAL_STAMP = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}"
@@ -399,9 +414,10 @@ def series_files(draw, ordered=False):
     return text.encode("utf-8")
 
 
-# Reads of less than a line, and the default: refills fall inside lines,
-# fields and the timestamp lead.
-READ_SIZES = st.sampled_from([1, 7, 23, ingest._READ_BYTES])
+# Reads of less than a line, of a few lines, and the default: a read's
+# block is its whole lines, and the line it cuts, with the timestamp lead
+# before it, waits for the next read.
+READ_SIZES = st.sampled_from([1, 7, 23, 64, 256, ingest._READ_BYTES])
 
 
 def outcome(parse, path):
@@ -429,16 +445,13 @@ def assert_same_outcome(got, want):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=series_files(), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]),
-       read_bytes=READ_SIZES)
+@given(data=series_files(), read_bytes=READ_SIZES)
 @pytest.mark.parametrize("per_row", [False, True])
-def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, data, block_rows,
-                                             read_bytes):
+def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, data, read_bytes):
     """With per_row, every file goes through the per-row reader and the
     shared tail."""
     path = tmp_path / "series.csv"
     path.write_bytes(data)
-    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     if per_row:
         monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
@@ -469,12 +482,11 @@ SWAP_EXAMPLE = (b"subject_id,timestamp,glucose\n"
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=series_files(ordered=True), block_rows=st.sampled_from([1, 2, 3, 7, 1 << 15]),
-       swap=st.booleans(), read_bytes=READ_SIZES)
-@example(data=SWAP_EXAMPLE, block_rows=2, swap=True, read_bytes=ingest._READ_BYTES)
+@given(data=series_files(ordered=True), swap=st.booleans(), read_bytes=READ_SIZES)
+@example(data=SWAP_EXAMPLE, swap=True, read_bytes=ingest._READ_BYTES)
 @pytest.mark.parametrize("per_row", [False, True])
 def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_row, data,
-                                                   block_rows, swap, read_bytes):
+                                                   swap, read_bytes):
     """Files already grouped by subject in time order skip the sort. A
     subject coming back after another's run, or a swap of the last two
     rows that puts them out of order, takes it. Both readers match the
@@ -485,7 +497,6 @@ def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_ro
         data = b"\n".join(lines) + b"\n"
     path = tmp_path / "series.csv"
     path.write_bytes(data)
-    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     if per_row:
         monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
@@ -511,7 +522,7 @@ def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     want = outcome(parse_series_oracle, path)
     with monkeypatch.context() as patch:
         patch.setattr(ingest, "_parse_series_rows", per_row_refused)
-        patch.setattr(ingest, "_BLOCK_ROWS", 2)
+        patch.setattr(ingest, "_READ_BYTES", 64)
         got = outcome(parse_series, path)
     assert_same_outcome(got, want)
     assert got[1]["b"] == {"records_in": 3, "deduped": 1, "clamped": 2}
@@ -604,8 +615,13 @@ LONG_ID_THEN_SHORT_LINE = (b"subject_id,timestamp,glucose\n" + b"x" * 40
                            + b",2024-03-01T00:00:00Z,100\na,2024-03-01T00:05:00,5")
 
 
+# A read of len(LONG_ID_THEN_SHORT_LINE) + 1 bytes ends at the short line's
+# newline: the 40-byte id's window runs past the bytes read mid-file.
+LONG_ID_BEFORE_READ_END = LONG_ID_THEN_SHORT_LINE + b"\nb,2024-03-01T00:10:00Z,6\n"
+
+
 # With 1-byte ids, the first timestamp window of a block starts 3 bytes before
-# the block, in bytes a refill must keep.
+# the block, in bytes the move to the front of the buffer must keep.
 ONE_BYTE_IDS = (b"subject_id,timestamp,glucose\n"
                 + b"".join(b"%c,2024-03-01T00:%02d:00Z,%d\n" % (sid, 5 * k, 90 + k)
                            for k, sid in enumerate(b"abcabcaab")))
@@ -613,20 +629,18 @@ ONE_BYTE_IDS = (b"subject_id,timestamp,glucose\n"
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=mixed_width_files(), block_rows=st.sampled_from([1, 2, 3, 7, ingest._BLOCK_ROWS]),
-       read_bytes=READ_SIZES)
-@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=2, read_bytes=ingest._READ_BYTES)
-@example(data=LONG_ID_THEN_SHORT_LINE, block_rows=ingest._BLOCK_ROWS, read_bytes=ingest._READ_BYTES)
-@example(data=ONE_BYTE_IDS, block_rows=1, read_bytes=1)
-@example(data=ONE_BYTE_IDS, block_rows=2, read_bytes=7)
-@example(data=ONE_BYTE_IDS, block_rows=3, read_bytes=23)
-def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, block_rows,
-                                              read_bytes):
+@given(data=mixed_width_files(), read_bytes=READ_SIZES)
+@example(data=LONG_ID_THEN_SHORT_LINE, read_bytes=64)
+@example(data=LONG_ID_THEN_SHORT_LINE, read_bytes=ingest._READ_BYTES)
+@example(data=LONG_ID_BEFORE_READ_END, read_bytes=len(LONG_ID_THEN_SHORT_LINE) + 1)
+@example(data=ONE_BYTE_IDS, read_bytes=1)
+@example(data=ONE_BYTE_IDS, read_bytes=7)
+@example(data=ONE_BYTE_IDS, read_bytes=23)
+def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, read_bytes):
     """Every row of a block is padded to its widest id and glucose field: the
     column-wise decoder owns these files and matches the per-row oracle."""
     path = tmp_path / "series.csv"
     path.write_bytes(data)
-    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
     assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
@@ -704,6 +718,21 @@ def test_series_file_is_read_through_one_bounded_buffer(tmp_path, monkeypatch):
     assert size > 50 * 4096
     assert max(asked for asked, _ in reads) <= 4096
     assert sum(returned for _, returned in reads) == size
+
+
+def test_long_line_is_declined_after_one_read(tmp_path, monkeypatch):
+    """No canonical line is over _MAX_LINE bytes, so a file whose first data
+    line runs a megabyte with no newline goes to the per-row reader after
+    one read. Its fields stay under the csv module's field limit, so both
+    readers fail on its field count."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(ingest._HEADER + b"x," * (1 << 19))
+    reads = []
+    monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
+    record_reads(monkeypatch, reads)
+    assert ingest._parse_columns(path) is None
+    assert sum(got for _, got in reads) <= len(ingest._HEADER) + ingest._MAX_LINE + 4096
+    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
 
 
 @pytest.mark.parametrize("read_bytes", [7, ingest._READ_BYTES])
