@@ -295,6 +295,8 @@ def cmd_simulate(args):
 def cmd_indices(args):
     if not args.conga_horizon_hours > 0:
         raise ValueError("--conga-horizon-hours must be positive")
+    if not np.isfinite(args.conga_horizon_hours * 3600.0):
+        raise ValueError("--conga-horizon-hours must be finite in seconds")
     kept, report = _ingest(args, None)
     rows = []
     for s in kept:

@@ -39,7 +39,7 @@ class SubjectSeries:
     """One subject's glucose records as parallel arrays.
 
     times are UTC epoch seconds, strictly increasing after parsing.
-    retained_days is set by filter_days (0 before filtering).
+    retained_days is set by filter_days and ingest_cohort (0 before filtering).
     """
 
     subject_id: str
@@ -220,8 +220,10 @@ def _decode_block(buf, pos: int, seps):
 
 
 def _parse_columns(path):
-    """Decode a canonical series file into (ids, times, glucose, codes), codes
-    indexing ids in first-appearance order; None unless wholly canonical.
+    """Decode a canonical series file into (ids, times, glucose, run codes,
+    run starts): rows run_starts[k] up to the next start are one subject's,
+    run_codes[k] indexing ids in first-appearance order; None unless wholly
+    canonical.
 
     The file is read through one buffer, and the whole lines of each read are
     decoded as one block, so memory is the columns plus the buffer."""
@@ -229,10 +231,11 @@ def _parse_columns(path):
         # No more rows fit in the size at open; the pages past the rows
         # decoded are never touched. The columns grow if the file does.
         cap = max(os.fstat(fh.fileno()).st_size - len(_HEADER), 0) // _MIN_LINE + 1
-        times, glucose, codes = np.empty(cap, np.int64), np.empty(cap), np.empty(cap, np.int32)
+        times, glucose = np.empty(cap, np.int64), np.empty(cap)
         # A read lands behind the line the last one cut and its timestamp lead.
         buf = np.empty(_TS_LEAD + _MAX_LINE + _READ_BYTES, dtype=np.uint8)
         index: dict[bytes, int] = {}
+        run_codes, run_starts = [], []
         pos = filled = _TS_LEAD
         header, row = True, 0
         while True:
@@ -275,14 +278,16 @@ def _parse_columns(path):
                 local[u] = index.setdefault(bytes(unique[u]), len(index))
             stop = row + len(seps)
             if stop > times.size:  # the file grew after it was opened
-                for column in (times, glucose, codes):
+                for column in (times, glucose):
                     column.resize(2 * stop, refcheck=False)
             times[row:stop], glucose[row:stop] = block_times, block_glucose
-            codes[row:stop] = np.repeat(local[inverse], np.diff(heads, append=len(seps)))
+            run_codes.append(local[inverse])
+            run_starts.append(heads + row)
             pos, row = end, stop
     if not row:  # no data rows: the per-row reader names the error
         return None
-    return [key.decode("ascii") for key in index], times[:row], glucose[:row], codes[:row]
+    return ([key.decode("ascii") for key in index], times[:row], glucose[:row],
+            np.concatenate(run_codes), np.concatenate(run_starts))
 
 
 def _parse_series_rows(path):
@@ -305,8 +310,69 @@ def _parse_series_rows(path):
             raise ValueError(f"{path} line {line_no}: non-finite glucose {row[2]!r}")
         glucose.append(g)
         codes.append(index.setdefault(sid, len(index)))
+    codes = np.frombuffer(codes, dtype=np.intc)
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
     return (list(index), np.frombuffer(times, dtype=np.int64),
-            np.frombuffer(glucose, dtype=float), np.frombuffer(codes, dtype=np.intc))
+            np.frombuffer(glucose, dtype=float), codes[starts], starts)
+
+
+def _subject_rows(path):
+    """(ids, times, glucose, bounds, keep, stats) of a series file: its rows
+    grouped by subject in first-appearance order, subject k in rows
+    bounds[k]:bounds[k + 1], each subject's in time order with ties in file
+    order. Glucose is clamped to the device range, keep marks the first row
+    of each of a subject's timestamps, and stats holds each subject's
+    {records_in, deduped, clamped}.
+
+    Files wholly in the canonical form are decoded column-wise; any other
+    file is read row by row. Both readers feed the one tail below.
+    """
+    ids, times, glucose, run_codes, run_starts = _parse_columns(path) or _parse_series_rows(path)
+    run_rows = np.diff(run_starts, append=times.size)
+    # keep is built in place: first (after is its view from the second row)
+    # the rows whose time goes back within a subject, then the rows kept by
+    # the dedupe.
+    keep = np.empty(times.size, dtype=bool)
+    after = keep[1:]
+    np.less(times[1:], times[:-1], out=after)
+    after[run_starts[1:][run_codes[1:] != run_codes[:-1]] - 1] = False
+    # lexsort is stable: among equal timestamps the first row in the file leads.
+    # Rows already grouped by subject in time order skip it.
+    if after.any() or (run_codes[1:] < run_codes[:-1]).any():
+        order = np.lexsort((times, np.repeat(run_codes, run_rows)))
+        times, glucose = times[order], glucose[order]
+        del order
+    records_in = np.bincount(run_codes, run_rows, minlength=len(ids)).astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(records_in)])
+    np.not_equal(times[1:], times[:-1], out=after)
+    keep[bounds[:-1]] = True
+    stats = {}
+    for sid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
+        g = glucose[lo:hi]
+        stats[sid] = {
+            "records_in": hi - lo,
+            "deduped": hi - lo - int(np.count_nonzero(keep[lo:hi])),
+            "clamped": int(np.count_nonzero(g < GLUCOSE_LO) + np.count_nonzero(g > GLUCOSE_HI)),
+        }
+    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
+    return ids, times, glucose, bounds, keep, stats
+
+
+def _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes, retained_days):
+    """SubjectSeries of each subject with counts[k] > 0 rows marked in keep,
+    as views of times and glucose: the marked rows move to the front of both
+    columns in place, as many rows at a time as one read can hold."""
+    rows, moved = _READ_BYTES // _MIN_LINE + 1, 0
+    for start in range(0, keep.size, rows):
+        block = keep[start:start + rows]
+        n = int(np.count_nonzero(block))
+        for column in (times, glucose):
+            column[moved:moved + n] = column[start:start + rows][block]
+        moved += n
+    ends = np.cumsum(counts).tolist()
+    return [SubjectSeries(sid, times[end - count:end], glucose[end - count:end],
+                          nominal_interval_minutes, days)
+            for sid, count, end, days in zip(ids, counts, ends, retained_days) if count]
 
 
 def parse_series(path, nominal_interval_minutes: float = 5.0):
@@ -316,51 +382,11 @@ def parse_series(path, nominal_interval_minutes: float = 5.0):
     stats {clamped, deduped, records_in}). Rows are sorted by timestamp
     per subject; exact-duplicate timestamps keep the first occurrence;
     out-of-range glucose is clamped to [40, 400] and counted.
-
-    Files wholly in the canonical form are decoded column-wise; any other
-    file is read row by row. Both readers feed the one tail below.
     """
-    ids, times, glucose, codes = _parse_columns(path) or _parse_series_rows(path)
-    n = len(ids)
-    records_in = np.bincount(codes, minlength=n)
-    # One mask, built in place: rows out of the device range, then (after is
-    # its view from the second row) rows out of (subject, time) order, then
-    # rows kept by the dedupe.
-    mask = np.less(glucose, GLUCOSE_LO)
-    mask |= glucose > GLUCOSE_HI
-    clamped = np.bincount(codes[mask], minlength=n)
-    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
-    # lexsort is stable: among equal timestamps the first row in the file leads.
-    # On rows already grouped by subject in time order it is the identity.
-    after = mask[1:]
-    np.less(times[1:], times[:-1], out=after)
-    after &= codes[1:] == codes[:-1]
-    after |= codes[1:] < codes[:-1]
-    if after.any():
-        order = np.lexsort((times, codes))
-        codes, times, glucose = codes[order], times[order], glucose[order]
-        del order
-    mask[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=after)
-    after |= times[1:] != times[:-1]
-    kept = records_in - np.bincount(codes[~mask], minlength=n)
-    # The columns are copied one at a time, each freeing the one it replaces.
-    del codes
-    times = times[mask]
-    glucose = glucose[mask]
-    bounds = np.concatenate([[0], np.cumsum(kept)])
-    series, stats = [], {}
-    for code, sid in enumerate(ids):
-        lo, hi = bounds[code], bounds[code + 1]
-        series.append(
-            SubjectSeries(sid, times[lo:hi], glucose[lo:hi], nominal_interval_minutes)
-        )
-        stats[sid] = {
-            "records_in": int(records_in[code]),
-            "deduped": int(records_in[code] - kept[code]),
-            "clamped": int(clamped[code]),
-        }
-    return series, stats
+    ids, times, glucose, _, keep, stats = _subject_rows(path)
+    counts = [st["records_in"] - st["deduped"] for st in stats.values()]
+    return _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes,
+                        [0] * len(ids)), stats
 
 
 def _check_day_filter(max_gap_minutes: float, gap_mode: str) -> None:
@@ -370,22 +396,11 @@ def _check_day_filter(max_gap_minutes: float, gap_mode: str) -> None:
         raise ValueError("max_gap_minutes must be positive")
 
 
-def filter_days(
-    series: SubjectSeries,
-    max_gap_minutes: float = 120.0,
-    gap_mode: str = "cumulative",
-) -> SubjectSeries:
-    """Drop UTC calendar days whose data gaps break the quality rule.
-
-    A day's gaps are the deltas between its consecutive samples plus the
-    coverage gaps at the midnight boundaries. Deltas above 1.5x the
-    nominal interval count as non-acquisition. Mode "single" discards a
-    day when any one delta exceeds max_gap_minutes; "cumulative" (default)
-    when the summed non-acquisition time does.
-    """
-    _check_day_filter(max_gap_minutes, gap_mode)
-    t = series.times
-    tol = GAP_TOLERANCE_FACTOR * series.nominal_interval_minutes * 60.0
+def _day_rule(t, nominal_interval_minutes, max_gap_minutes, gap_mode):
+    """(bad, rows) for each UTC calendar day of the nondecreasing times t:
+    whether the day's gaps break the quality rule of filter_days, and its
+    row count. A repeated time adds a zero delta, which breaks no rule."""
+    tol = GAP_TOLERANCE_FACTOR * nominal_interval_minutes * 60.0
     max_gap = max_gap_minutes * 60.0
     days = t // SECONDS_PER_DAY
     # One pass over day boundaries: samples first[k]..last[k] form day k.
@@ -411,14 +426,32 @@ def filter_days(
             + np.where(trail > tol, trail, 0)
         )
         bad = missing > max_gap
-    keep = np.repeat(~bad, last - first + 1)
-    retained = int(bad.size - np.count_nonzero(bad))
+    return bad, last - first + 1
+
+
+def filter_days(
+    series: SubjectSeries,
+    max_gap_minutes: float = 120.0,
+    gap_mode: str = "cumulative",
+) -> SubjectSeries:
+    """Drop UTC calendar days whose data gaps break the quality rule.
+
+    A day's gaps are the deltas between its consecutive samples plus the
+    coverage gaps at the midnight boundaries. Deltas above 1.5x the
+    nominal interval count as non-acquisition. Mode "single" discards a
+    day when any one delta exceeds max_gap_minutes; "cumulative" (default)
+    when the summed non-acquisition time does.
+    """
+    _check_day_filter(max_gap_minutes, gap_mode)
+    bad, rows = _day_rule(series.times, series.nominal_interval_minutes, max_gap_minutes,
+                          gap_mode)
+    keep = np.repeat(~bad, rows)
     return SubjectSeries(
         series.subject_id,
-        t[keep],
+        series.times[keep],
         series.values[keep],
         series.nominal_interval_minutes,
-        retained_days=retained,
+        retained_days=int(bad.size - np.count_nonzero(bad)),
     )
 
 
@@ -438,37 +471,50 @@ def ingest_cohort(
     the report with excluded=True, so min_days must be at least 1. Labeled
     subjects absent from the series file are reported as missing, not errors.
     Every parameter is checked before the series file is read.
+
+    The kept series are views of one pair of columns: the dedupe, the day
+    filter and the exclusion mark one keep mask over the cohort's rows,
+    which are then compacted in place.
     """
     if min_days < 1:
         raise ValueError("min_days must be at least 1")
     if not nominal_interval_minutes > 0:
         raise ValueError("nominal interval must be positive")
+    if not np.isfinite(GAP_TOLERANCE_FACTOR * nominal_interval_minutes * 60.0):
+        raise ValueError("nominal interval must be finite in seconds")
     _check_day_filter(max_gap_minutes, gap_mode)
-    series, stats = parse_series(series_path, nominal_interval_minutes)
+    if not np.isfinite(max_gap_minutes * 60.0):
+        raise ValueError("max_gap_minutes must be finite in seconds")
+    ids, times, glucose, bounds, keep, stats = _subject_rows(series_path)
     labels = parse_labels(labels_path) if labels_path is not None else {}
 
-    kept = []
-    subjects = {}
-    for s in series:
-        st = stats[s.subject_id]
-        # Times strictly increase, so each new day starts where the day changes.
-        days_in = 1 + int(np.count_nonzero(np.diff(s.times // SECONDS_PER_DAY)))
-        filtered = filter_days(s, max_gap_minutes, gap_mode)
-        excluded = filtered.retained_days < min_days
-        n_filtered = filtered.n_records
-        subjects[s.subject_id] = {
-            "retained_days": int(filtered.retained_days),
-            "dropped_days": days_in - int(filtered.retained_days),
+    subjects, counts, retained = {}, [], []
+    for sid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
+        st = stats[sid]
+        # The dedupe's rows of the days the rule keeps, and none if excluded.
+        bad, day_rows = _day_rule(times[lo:hi], nominal_interval_minutes, max_gap_minutes,
+                                  gap_mode)
+        rows = keep[lo:hi]
+        rows &= np.repeat(~bad, day_rows)
+        n_filtered = int(np.count_nonzero(rows))
+        days = int(bad.size - np.count_nonzero(bad))
+        excluded = days < min_days
+        if excluded:
+            rows[:] = False
+        subjects[sid] = {
+            "retained_days": days,
+            "dropped_days": int(bad.size) - days,
             "clamped": st["clamped"],
             "deduped": st["deduped"],
             "excluded": bool(excluded),
             "records_in": st["records_in"],
-            "records_dropped_day_filter": s.n_records - n_filtered,
+            "records_dropped_day_filter": st["records_in"] - st["deduped"] - n_filtered,
             "records_dropped_exclusion": n_filtered if excluded else 0,
             "records_retained": 0 if excluded else n_filtered,
         }
-        if not excluded:
-            kept.append(filtered)
+        counts.append(subjects[sid]["records_retained"])
+        retained.append(days)
+    kept = _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes, retained)
 
     missing = sorted(sid for sid in labels if sid not in stats)
     totals = {key: int(sum(rec[key] for rec in subjects.values()))

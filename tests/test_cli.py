@@ -1093,12 +1093,19 @@ BAD_OPTIONS = [
     ("ingest", "--grid-size", "0", "grid size must be >= 1"),
     ("indices", "--conga-horizon-hours", "0", "--conga-horizon-hours must be positive"),
     ("indices", "--conga-horizon-hours", "nan", "--conga-horizon-hours must be positive"),
+    ("indices", "--conga-horizon-hours", "inf", "--conga-horizon-hours must be finite in seconds"),
+    ("indices", "--conga-horizon-hours", "1e308",
+     "--conga-horizon-hours must be finite in seconds"),
 ] + [(command, option, value, message) for command in ("ingest", "indices")
      for option, value, message in [
          ("--max-gap-minutes", "0", "max_gap_minutes must be positive"),
          ("--max-gap-minutes", "nan", "max_gap_minutes must be positive"),
+         ("--max-gap-minutes", "inf", "max_gap_minutes must be finite in seconds"),
+         ("--max-gap-minutes", "1e308", "max_gap_minutes must be finite in seconds"),
          ("--nominal-interval", "0", "nominal interval must be positive"),
          ("--nominal-interval", "-5", "nominal interval must be positive"),
+         ("--nominal-interval", "inf", "nominal interval must be finite in seconds"),
+         ("--nominal-interval", "1e308", "nominal interval must be finite in seconds"),
      ]]
 
 
@@ -1111,7 +1118,8 @@ def test_bad_options_fail_before_the_series_is_read(three_day_series, tmp_path, 
     nothing written."""
     series, labels = three_day_series
     out = tmp_path / "out"
-    monkeypatch.setattr(ingest, "parse_series", lambda *args: pytest.fail("series parsed"))
+    for reader in ("_parse_columns", "_parse_series_rows"):
+        monkeypatch.setattr(ingest, reader, lambda *args: pytest.fail("series parsed"))
     labels_args = ["--labels", str(labels)] if command == "ingest" else []
     rc = main([command, "--series", str(series), *labels_args, option, value,
                "--out", str(out)])

@@ -1,6 +1,7 @@
 import csv
 import os
 import threading
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -307,7 +308,12 @@ def test_ingest_cohort_rejects_min_days_below_one(tmp_path, min_days):
     ({"nominal_interval_minutes": 0}, "nominal interval must be positive"),
     ({"nominal_interval_minutes": float("nan")}, "nominal interval must be positive"),
     ({"gap_mode": "bogus"}, "unknown gap mode: 'bogus'"),
-], ids=["max_gap_0", "max_gap_nan", "nominal_0", "nominal_nan", "gap_mode"])
+    ({"max_gap_minutes": float("inf")}, "max_gap_minutes must be finite in seconds"),
+    ({"max_gap_minutes": 1e308}, "max_gap_minutes must be finite in seconds"),
+    ({"nominal_interval_minutes": float("inf")}, "nominal interval must be finite in seconds"),
+    ({"nominal_interval_minutes": 1e308}, "nominal interval must be finite in seconds"),
+], ids=["max_gap_0", "max_gap_nan", "nominal_0", "nominal_nan", "gap_mode", "max_gap_inf",
+        "max_gap_1e308", "nominal_inf", "nominal_1e308"])
 def test_ingest_cohort_checks_parameters_before_reading(tmp_path, kwargs, message):
     """Each day-filter parameter fails with its own error before the series
     file is read (here it does not exist)."""
@@ -720,6 +726,26 @@ def test_series_file_is_read_through_one_bounded_buffer(tmp_path, monkeypatch):
     assert sum(returned for _, returned in reads) == size
 
 
+def test_ingest_holds_one_copy_of_the_rows(tmp_path, monkeypatch):
+    """Peak traced memory of ingest_cohort past the decoded columns, times
+    and glucose (16 bytes a row, sized from the file at open), is a small
+    fraction of them: no per-row subject column, no copy of either column
+    and no second set of series. Small reads keep the per-read temporaries
+    small next to 120,000 rows."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(ingest._HEADER + canonical_lines([f"s{k}" for k in range(60)], 2000))
+    monkeypatch.setattr(ingest, "_READ_BYTES", 1 << 14)
+    columns = 16 * ((path.stat().st_size - len(ingest._HEADER)) // ingest._MIN_LINE + 1)
+    tracemalloc.start()
+    try:
+        kept, _, report = ingest_cohort(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["totals"]["records_retained"] == sum(s.n_records for s in kept) > 0
+    assert peak - columns < 0.2 * columns
+
+
 def test_long_line_is_declined_after_one_read(tmp_path, monkeypatch):
     """No canonical line is over _MAX_LINE bytes, so a file whose first data
     line runs a megabyte with no newline goes to the per-row reader after
@@ -793,3 +819,77 @@ def test_filter_days_matches_per_day_loop(runs, start, nominal, max_gap, gap_mod
     np.testing.assert_array_equal(out.times, times)
     np.testing.assert_array_equal(out.values, values)
     assert out.retained_days == retained
+
+
+def cohort_outcome(path, **config):
+    try:
+        kept, _, report = ingest_cohort(path, **config)
+    except Exception as exc:  # the error itself is the outcome to compare
+        return type(exc), str(exc)
+    return [(s.subject_id, s.times, s.values, s.nominal_interval_minutes, s.retained_days)
+            for s in kept], report["subjects"]
+
+
+def cohort_oracle(path, *, max_gap_minutes, gap_mode, min_days, nominal_interval_minutes):
+    """parse_series_oracle, then filter_days_oracle and the min_days rule per
+    subject, as ingest_cohort's kept series and report fields."""
+    try:
+        series, stats = parse_series_oracle(path, nominal_interval_minutes)
+    except Exception as exc:
+        return type(exc), str(exc)
+    kept, subjects = [], {}
+    for s in series:
+        times, values, days = filter_days_oracle(s, max_gap_minutes, gap_mode)
+        excluded = days < min_days
+        subjects[s.subject_id] = {
+            **stats[s.subject_id],
+            "retained_days": days,
+            "dropped_days": np.unique(s.times // (DAY_MINUTES * 60)).size - days,
+            "excluded": excluded,
+            "records_dropped_day_filter": s.n_records - times.size,
+            "records_dropped_exclusion": times.size if excluded else 0,
+            "records_retained": 0 if excluded else times.size,
+        }
+        if not excluded:
+            kept.append((s.subject_id, times, values, nominal_interval_minutes, days))
+    return kept, subjects
+
+
+# A CRLF file, out of order, with a repeated timestamp and clamped rows.
+CRLF_EXAMPLE = (b"subject_id,timestamp,glucose\r\n"
+                b"s2,2024-03-01T00:05:00Z,500\r\n"
+                b"s1,2024-03-01T00:00:00Z,30\r\n"
+                b"s2,2024-03-01T00:05:00Z,101\r\n"
+                b"s2,2024-03-01T00:00:00Z,100\r\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(data=CRLF_EXAMPLE, max_gap_minutes=1440.0, nominal_interval_minutes=5.0,
+         gap_mode="single", min_days=1)
+@given(data=st.one_of(series_files(), series_files(ordered=True)),
+       max_gap_minutes=st.sampled_from([30.0, 240.0, 720.0, 1440.0]),
+       nominal_interval_minutes=st.sampled_from([5.0, 60.0, 480.0]),
+       gap_mode=st.sampled_from(ingest.GAP_MODES), min_days=st.integers(1, 3))
+@pytest.mark.parametrize("per_row", [False, True])
+def test_ingest_cohort_matches_oracles(tmp_path, monkeypatch, per_row, data, **config):
+    """Unordered files with duplicates, clamped rows and odd forms (CRLF ones
+    among them go row by row), and ordered ones: the kept times and values
+    bit for bit, the retained days and every report field of each subject
+    equal the oracles'. With per_row, every file goes row by row."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    if per_row:
+        monkeypatch.setattr(ingest, "_parse_columns", lambda path: None)
+    got, want = cohort_outcome(path, **config), cohort_oracle(path, **config)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert not isinstance(got[0], type), got
+    assert got[1] == want[1]
+    assert list(got[1]) == list(want[1])
+    assert [k[0] for k in got[0]] == [k[0] for k in want[0]]
+    for (_, t, v, *rest), (_, t_want, v_want, *rest_want) in zip(got[0], want[0]):
+        assert t.dtype == np.int64 and v.dtype == np.float64
+        assert t.tobytes() == t_want.tobytes() and v.tobytes() == v_want.tobytes()
+        assert rest == rest_want
