@@ -221,9 +221,9 @@ def _decode_block(buf, pos: int, seps):
 
 def _parse_columns(path):
     """Decode a canonical series file into (ids, times, glucose, run codes,
-    run starts): rows run_starts[k] up to the next start are one subject's,
-    run_codes[k] indexing ids in first-appearance order; None unless wholly
-    canonical.
+    run rows): the rows come in runs of one subject, run k being run_rows[k]
+    rows of subject run_codes[k], which indexes ids in first-appearance
+    order; None unless wholly canonical.
 
     The file is read through one buffer, and the whole lines of each read are
     decoded as one block, so memory is the columns plus the buffer."""
@@ -235,9 +235,9 @@ def _parse_columns(path):
         # A read lands behind the line the last one cut and its timestamp lead.
         buf = np.empty(_TS_LEAD + _MAX_LINE + _READ_BYTES, dtype=np.uint8)
         index: dict[bytes, int] = {}
-        run_codes, run_starts = [], []
+        run_codes, run_rows = np.empty(64, np.int32), np.empty(64, np.int32)
         pos = filled = _TS_LEAD
-        header, row = True, 0
+        header, row, runs = True, 0, 0
         while True:
             # Move the unread bytes, and the _TS_LEAD bytes before them that
             # the first timestamp window starts in, to the front of buf.
@@ -281,13 +281,19 @@ def _parse_columns(path):
                 for column in (times, glucose):
                     column.resize(2 * stop, refcheck=False)
             times[row:stop], glucose[row:stop] = block_times, block_glucose
-            run_codes.append(local[inverse])
-            run_starts.append(heads + row)
-            pos, row = end, stop
+            # A run ends at each change of id and at each block's end, so its
+            # rows fit int32; a file of interleaved subjects has a run a row.
+            runs_stop = runs + heads.size
+            if runs_stop > run_codes.size:
+                for column in (run_codes, run_rows):
+                    column.resize(2 * runs_stop, refcheck=False)
+            run_codes[runs:runs_stop] = local[inverse]
+            run_rows[runs:runs_stop] = np.diff(heads, append=len(seps))
+            pos, row, runs = end, stop, runs_stop
     if not row:  # no data rows: the per-row reader names the error
         return None
     return ([key.decode("ascii") for key in index], times[:row], glucose[:row],
-            np.concatenate(run_codes), np.concatenate(run_starts))
+            run_codes[:runs], run_rows[:runs])
 
 
 def _parse_series_rows(path):
@@ -313,7 +319,7 @@ def _parse_series_rows(path):
     codes = np.frombuffer(codes, dtype=np.intc)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     return (list(index), np.frombuffer(times, dtype=np.int64),
-            np.frombuffer(glucose, dtype=float), codes[starts], starts)
+            np.frombuffer(glucose, dtype=float), codes[starts], np.diff(starts, append=codes.size))
 
 
 def _subject_rows(path):
@@ -327,22 +333,27 @@ def _subject_rows(path):
     Files wholly in the canonical form are decoded column-wise; any other
     file is read row by row. Both readers feed the one tail below.
     """
-    ids, times, glucose, run_codes, run_starts = _parse_columns(path) or _parse_series_rows(path)
-    run_rows = np.diff(run_starts, append=times.size)
+    ids, times, glucose, run_codes, run_rows = _parse_columns(path) or _parse_series_rows(path)
     # keep is built in place: first (after is its view from the second row)
     # the rows whose time goes back within a subject, then the rows kept by
     # the dedupe.
     keep = np.empty(times.size, dtype=bool)
     after = keep[1:]
     np.less(times[1:], times[:-1], out=after)
-    after[run_starts[1:][run_codes[1:] != run_codes[:-1]] - 1] = False
-    # lexsort is stable: among equal timestamps the first row in the file leads.
-    # Rows already grouped by subject in time order skip it.
-    if after.any() or (run_codes[1:] < run_codes[:-1]).any():
-        order = np.lexsort((times, np.repeat(run_codes, run_rows)))
-        times, glucose = times[order], glucose[order]
-        del order
+    after[np.cumsum(run_rows[:-1])[run_codes[1:] != run_codes[:-1]] - 1] = False
     records_in = np.bincount(run_codes, run_rows, minlength=len(ids)).astype(np.int64)
+    # lexsort is stable: among equal timestamps the first row in the file leads.
+    # Rows already grouped by subject in time order skip it. Rows out of order
+    # may be a run each, so the runs go before the columns are copied, one at
+    # a time, each freeing the one it replaces.
+    if after.any() or (run_codes[1:] < run_codes[:-1]).any():
+        codes = np.repeat(run_codes, run_rows)
+        del run_codes, run_rows
+        order = np.lexsort((times, codes))
+        del codes
+        times = times[order]
+        glucose = glucose[order]
+        del order
     bounds = np.concatenate([[0], np.cumsum(records_in)])
     np.not_equal(times[1:], times[:-1], out=after)
     keep[bounds[:-1]] = True
