@@ -733,7 +733,8 @@ def test_ingest_holds_one_copy_of_the_rows(tmp_path, monkeypatch, interleaved, b
     fraction of them on rows grouped by subject: no per-row subject column,
     no copy of either column and no second set of series. Rows interleaved
     across subjects, a run each, take the sort, which copies the columns one
-    at a time once the runs are gone (the parent's sort peaked at 1.78).
+    at a time once the runs are gone (a per-row subject column with both
+    columns copied at once peaks near 1.8).
     Small reads keep the per-read temporaries small next to 120,000 rows."""
     lines = canonical_lines([f"s{k}" for k in range(60)], 2000).splitlines(keepends=True)
     if interleaved:
