@@ -35,7 +35,6 @@ _EXPORTS = {
     "conga": "indices",
     "mage": "indices",
     "SubjectSeries": "ingest",
-    "filter_days": "ingest",
     "ingest_cohort": "ingest",
     "SmoothConfig": "monotone",
     "monotone_smooth": "monotone",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "classify": "threshold",
     "cutoff_curve": "threshold",
     "estimate_mu": "threshold",
-    "margin": "threshold",
     "margin_vector": "threshold",
 }
 

@@ -1,6 +1,7 @@
 """Command-line pipeline. Subcommands: ingest, fit, bootstrap, classify,
 simulate, indices, roc. Every run writes its artifacts plus a manifest
-(command, argv, seed, input digests, version, wall time) into --out.
+(command, argv, seed, input digests, version, wall time) into --out;
+an input that is not a regular file, such as a pipe, has a null digest.
 
 Each cmd_* handler returns its artifacts as (file name, writer, *payload);
 main writes them and the manifest once it has returned, so a failed run writes none.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -139,7 +141,11 @@ def _criteria_list(text: str):
 _HASH_CHUNK = 1 << 20
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> str | None:
+    """The SHA-256 of a regular file; None for a pipe or any other input,
+    which the command has already read and which cannot be read again."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):

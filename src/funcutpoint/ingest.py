@@ -19,8 +19,6 @@ from .quantiles import _header_is, parse_labels, subject_rows
 
 __all__ = [
     "SubjectSeries",
-    "parse_series",
-    "filter_days",
     "ingest_cohort",
 ]
 
@@ -39,7 +37,7 @@ class SubjectSeries:
     """One subject's glucose records as parallel arrays.
 
     times are UTC epoch seconds, strictly increasing after parsing.
-    retained_days is set by filter_days and ingest_cohort (0 before filtering).
+    retained_days is set by ingest_cohort (0 otherwise).
     """
 
     subject_id: str
@@ -80,7 +78,7 @@ def _parse_timestamp(raw: str, path, line_no: int) -> int:
     return int(stamp.timestamp())
 
 
-# Columnar fast path of parse_series. It decodes only the canonical forms
+# Columnar fast path of _subject_rows. It decodes only the canonical forms
 # below and declines (returns None) on anything else, so every other input,
 # and every error message, goes through the per-row reader.
 _HEADER = b"subject_id,timestamp,glucose\n"
@@ -323,12 +321,10 @@ def _parse_series_rows(path):
 
 
 def _subject_rows(path):
-    """(ids, times, glucose, bounds, keep, stats) of a series file: its rows
+    """(ids, times, glucose, bounds, keep) of a series file: its rows
     grouped by subject in first-appearance order, subject k in rows
     bounds[k]:bounds[k + 1], each subject's in time order with ties in file
-    order. Glucose is clamped to the device range, keep marks the first row
-    of each of a subject's timestamps, and stats holds each subject's
-    {records_in, deduped, clamped}.
+    order. keep marks the first row of each of a subject's timestamps.
 
     Files wholly in the canonical form are decoded column-wise; any other
     file is read row by row. Both readers feed the one tail below.
@@ -357,16 +353,7 @@ def _subject_rows(path):
     bounds = np.concatenate([[0], np.cumsum(records_in)])
     np.not_equal(times[1:], times[:-1], out=after)
     keep[bounds[:-1]] = True
-    stats = {}
-    for sid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
-        g = glucose[lo:hi]
-        stats[sid] = {
-            "records_in": hi - lo,
-            "deduped": hi - lo - int(np.count_nonzero(keep[lo:hi])),
-            "clamped": int(np.count_nonzero(g < GLUCOSE_LO) + np.count_nonzero(g > GLUCOSE_HI)),
-        }
-    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
-    return ids, times, glucose, bounds, keep, stats
+    return ids, times, glucose, bounds, keep
 
 
 def _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes, retained_days):
@@ -386,31 +373,16 @@ def _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes, re
             for sid, count, end, days in zip(ids, counts, ends, retained_days) if count]
 
 
-def parse_series(path, nominal_interval_minutes: float = 5.0):
-    """Parse a series CSV into per-subject SubjectSeries.
-
-    Returns (series list in first-appearance order, per-subject parse
-    stats {clamped, deduped, records_in}). Rows are sorted by timestamp
-    per subject; exact-duplicate timestamps keep the first occurrence;
-    out-of-range glucose is clamped to [40, 400] and counted.
-    """
-    ids, times, glucose, _, keep, stats = _subject_rows(path)
-    counts = [st["records_in"] - st["deduped"] for st in stats.values()]
-    return _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes,
-                        [0] * len(ids)), stats
-
-
-def _check_day_filter(max_gap_minutes: float, gap_mode: str) -> None:
-    if gap_mode not in GAP_MODES:
-        raise ValueError(f"unknown gap mode: {gap_mode!r}")
-    if not max_gap_minutes > 0:
-        raise ValueError("max_gap_minutes must be positive")
-
-
 def _day_rule(t, nominal_interval_minutes, max_gap_minutes, gap_mode):
     """(bad, rows) for each UTC calendar day of the nondecreasing times t:
-    whether the day's gaps break the quality rule of filter_days, and its
-    row count. A repeated time adds a zero delta, which breaks no rule."""
+    whether the day's gaps break the quality rule, and its row count.
+
+    A day's gaps are the deltas between its consecutive samples plus the
+    coverage gaps at the midnight boundaries. Deltas above 1.5x the nominal
+    interval count as non-acquisition. Mode "single" marks a day bad when
+    any one gap exceeds max_gap_minutes; "cumulative" when the summed
+    non-acquisition time does. A repeated time adds a zero delta, which
+    breaks no rule."""
     tol = GAP_TOLERANCE_FACTOR * nominal_interval_minutes * 60.0
     max_gap = max_gap_minutes * 60.0
     days = t // SECONDS_PER_DAY
@@ -440,32 +412,6 @@ def _day_rule(t, nominal_interval_minutes, max_gap_minutes, gap_mode):
     return bad, last - first + 1
 
 
-def filter_days(
-    series: SubjectSeries,
-    max_gap_minutes: float = 120.0,
-    gap_mode: str = "cumulative",
-) -> SubjectSeries:
-    """Drop UTC calendar days whose data gaps break the quality rule.
-
-    A day's gaps are the deltas between its consecutive samples plus the
-    coverage gaps at the midnight boundaries. Deltas above 1.5x the
-    nominal interval count as non-acquisition. Mode "single" discards a
-    day when any one delta exceeds max_gap_minutes; "cumulative" (default)
-    when the summed non-acquisition time does.
-    """
-    _check_day_filter(max_gap_minutes, gap_mode)
-    bad, rows = _day_rule(series.times, series.nominal_interval_minutes, max_gap_minutes,
-                          gap_mode)
-    keep = np.repeat(~bad, rows)
-    return SubjectSeries(
-        series.subject_id,
-        series.times[keep],
-        series.values[keep],
-        series.nominal_interval_minutes,
-        retained_days=int(bad.size - np.count_nonzero(bad)),
-    )
-
-
 def ingest_cohort(
     series_path,
     labels_path=None,
@@ -477,11 +423,13 @@ def ingest_cohort(
 ):
     """Full ingest pipeline: parse, filter days, apply the inclusion rule.
 
-    Returns (kept series, labels, report). Subjects with fewer than
-    min_days retained days are excluded from the kept list but stay in
-    the report with excluded=True, so min_days must be at least 1. Labeled
-    subjects absent from the series file are reported as missing, not errors.
-    Every parameter is checked before the series file is read.
+    Returns (kept series, labels, report). Glucose is clamped to the device
+    range and each subject's repeated timestamps keep their first row, both
+    counted in the report. Subjects with fewer than min_days retained days
+    are excluded from the kept list but stay in the report with
+    excluded=True, so min_days must be at least 1. Labeled subjects absent
+    from the series file are reported as missing, not errors. Every
+    parameter is checked, and the labels file read, before the series file.
 
     The kept series are views of one pair of columns: the dedupe, the day
     filter and the exclusion mark one keep mask over the cohort's rows,
@@ -493,19 +441,23 @@ def ingest_cohort(
         raise ValueError("nominal interval must be positive")
     if not np.isfinite(GAP_TOLERANCE_FACTOR * nominal_interval_minutes * 60.0):
         raise ValueError("nominal interval must be finite in seconds")
-    _check_day_filter(max_gap_minutes, gap_mode)
+    if gap_mode not in GAP_MODES:
+        raise ValueError(f"unknown gap mode: {gap_mode!r}")
+    if not max_gap_minutes > 0:
+        raise ValueError("max_gap_minutes must be positive")
     if not np.isfinite(max_gap_minutes * 60.0):
         raise ValueError("max_gap_minutes must be finite in seconds")
-    ids, times, glucose, bounds, keep, stats = _subject_rows(series_path)
     labels = parse_labels(labels_path) if labels_path is not None else {}
+    ids, times, glucose, bounds, keep = _subject_rows(series_path)
 
     subjects, counts, retained = {}, [], []
     for sid, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
-        st = stats[sid]
+        g = glucose[lo:hi]
+        rows = keep[lo:hi]
+        deduped = hi - lo - int(np.count_nonzero(rows))
         # The dedupe's rows of the days the rule keeps, and none if excluded.
         bad, day_rows = _day_rule(times[lo:hi], nominal_interval_minutes, max_gap_minutes,
                                   gap_mode)
-        rows = keep[lo:hi]
         rows &= np.repeat(~bad, day_rows)
         n_filtered = int(np.count_nonzero(rows))
         days = int(bad.size - np.count_nonzero(bad))
@@ -515,19 +467,20 @@ def ingest_cohort(
         subjects[sid] = {
             "retained_days": days,
             "dropped_days": int(bad.size) - days,
-            "clamped": st["clamped"],
-            "deduped": st["deduped"],
+            "clamped": int(np.count_nonzero(g < GLUCOSE_LO) + np.count_nonzero(g > GLUCOSE_HI)),
+            "deduped": deduped,
             "excluded": bool(excluded),
-            "records_in": st["records_in"],
-            "records_dropped_day_filter": st["records_in"] - st["deduped"] - n_filtered,
+            "records_in": hi - lo,
+            "records_dropped_day_filter": hi - lo - deduped - n_filtered,
             "records_dropped_exclusion": n_filtered if excluded else 0,
             "records_retained": 0 if excluded else n_filtered,
         }
         counts.append(subjects[sid]["records_retained"])
         retained.append(days)
+    np.clip(glucose, GLUCOSE_LO, GLUCOSE_HI, out=glucose)
     kept = _kept_series(ids, times, glucose, keep, counts, nominal_interval_minutes, retained)
 
-    missing = sorted(sid for sid in labels if sid not in stats)
+    missing = sorted(sid for sid in labels if sid not in subjects)
     totals = {key: int(sum(rec[key] for rec in subjects.values()))
               for key in ("records_in", "deduped", "clamped", "records_dropped_day_filter",
                           "records_dropped_exclusion", "records_retained")}

@@ -20,7 +20,6 @@ __all__ = [
     "ThresholdFamily",
     "standardise",
     "estimate_mu",
-    "margin",
     "margin_vector",
     "row_margins",
     "classify",
@@ -149,12 +148,6 @@ def row_margins(matrix: np.ndarray, family: ThresholdFamily) -> np.ndarray:
     """Each row's margin against the family, standardising `matrix` in place."""
     matrix -= family.mu
     return _row_minima(matrix, family.sigma)
-
-
-def margin(curve: QuantileCurve, family: ThresholdFamily) -> float:
-    """Largest c with the curve on or above h_c at every grid point: the
-    one-curve case of margin_vector."""
-    return margin_vector([curve], family)[curve.subject_id]
 
 
 def classify(margins: dict[str, float], c: float) -> dict[str, int]:

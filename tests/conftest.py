@@ -200,7 +200,7 @@ def uniform_day_rows(subject_id, day_index, level, step_minutes=5,
 def parse_series_oracle(path, nominal_interval_minutes=5.0):
     """Per-row series parser: csv rows, datetime.fromisoformat and float().
 
-    Same contract and error texts as ingest.parse_series; the reference
+    Same series, counts and error texts as ingest_cohort; the reference
     for its columnar fast path.
     """
     groups, clamped = {}, {}

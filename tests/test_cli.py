@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from conftest import uniform_day_rows, write_labels_file, write_series_file
 from funcutpoint import cli, ingest
 from funcutpoint.cli import main
 from funcutpoint.cutpoint import roc_points
-from funcutpoint.ingest import parse_series
+from funcutpoint.ingest import ingest_cohort
 from funcutpoint.quantiles import (QuantileCurve, default_grid, label_array, parse_labels,
                                    read_curves_csv, read_grid_json, read_scores_csv,
                                    write_curves_csv, write_grid_json)
@@ -1128,6 +1129,22 @@ def test_bad_options_fail_before_the_series_is_read(three_day_series, tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def test_bad_labels_fail_before_the_series_is_read(three_day_series, tmp_path, monkeypatch,
+                                                   capsys):
+    """ingest reads the labels file before the series: a bad label fails
+    with one error line naming the labels file and line, before any row of
+    the series is decoded; exit 1 and nothing written."""
+    series, labels = three_day_series
+    labels.write_text("subject_id,label\nx,2\n")
+    out = tmp_path / "out"
+    for reader in ("_parse_columns", "_parse_series_rows"):
+        monkeypatch.setattr(ingest, reader, lambda *args: pytest.fail("series parsed"))
+    rc = main(["ingest", "--series", str(series), "--labels", str(labels), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {labels} line 2: label must be 0 or 1, got '2'\n"
+    assert list(out.iterdir()) == []
+
+
 def test_handlers_return_their_artifacts():
     """Each cmd_* handler takes args alone: main writes what it returns."""
     handlers = [name for name in dir(cli) if name.startswith("cmd_")]
@@ -1213,7 +1230,8 @@ def test_scores_csv_rejects_bad_rows_with_file_and_line(tmp_path, line_no, defec
 ROW_READERS = {
     "series": ("subject_id,timestamp,glucose",
                ["a,2024-03-01T00:00:00Z,100", "b,2024-03-01T00:05:00Z,110"],
-               lambda path: parse_series(path)),
+               lambda path: ingest_cohort(path, min_days=1, gap_mode="single",
+                                          max_gap_minutes=1440.0)),
     "labels": ("subject_id,label", ["a,0", "b,1"], lambda path: parse_labels(path)),
     "scores": ("subject_id,score", ["a,0.5", "b,1.5"],
                lambda path: _read_scores(path, path.with_name("labels.csv"))),
@@ -1397,6 +1415,34 @@ def test_cli_process_writes_what_main_writes(tmp_path):
         if name != "manifest.json":
             assert ((tmp_path / "process" / name).read_bytes()
                     == (tmp_path / "main" / name).read_bytes()), name
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_ingest_reads_a_fifo_once_and_records_no_digest_for_it(cohort_files, tmp_path):
+    """A canonical series on a FIFO is read once: the process exits 0, the
+    manifest records a null digest for the FIFO and the labels file's
+    SHA-256, and every other artifact equals that of a run on a regular
+    file with the same bytes."""
+    _, labels = cohort_files
+    series, fifo = tmp_path / "series.csv", tmp_path / "series.fifo"
+    series.write_bytes(cohort_files[0].read_bytes().replace(b"\r\n", b"\n"))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(series.read_bytes(),), daemon=True)
+    writer.start()
+    args = ["--labels", str(labels), "--nominal-interval", "15"]
+    proc = _cli(["ingest", "--series", str(fifo), *args, "--out", str(tmp_path / "fifo")])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "fifo" / "manifest.json").read_text())["inputs"] == {
+        str(fifo): None, str(labels): hashlib.sha256(labels.read_bytes()).hexdigest()}
+    assert main(["ingest", "--series", str(series), *args, "--out", str(tmp_path / "file")]) == 0
+    names = sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fifo").iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert ((tmp_path / "fifo" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes()), name
 
 
 def test_console_script_and_module_exit_through_run():

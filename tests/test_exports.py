@@ -186,6 +186,41 @@ def test_only_cli_and_indices_import_ingest():
     assert importers == {"cli.py", "indices.py"}
 
 
+def _referenced_names(tree) -> set[str]:
+    """The names a syntax tree uses as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_top_level_definition_is_test_only():
+    """Every top-level function and class in src/ (the package's lazy
+    __getattr__ and __dir__ aside) is used in src/ outside its own
+    definition, or is an entry point that the acceptance gates or the
+    oracles import. A name that only the tests call fails here."""
+    src = Path(funcutpoint.__file__).parent
+    tops = [(path.name, top) for path in sorted(src.glob("*.py"))
+            for top in ast.parse(path.read_text()).body]
+    uses = [_referenced_names(top) for _, top in tops]
+    tests = Path(__file__).parent
+    imported = {alias.name for name in ("test_acceptance.py", "conftest.py")
+                for node in ast.walk(ast.parse((tests / name).read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    test_only = [
+        f"{name}:{top.name}" for k, (name, top) in enumerate(tops)
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (name == "__init__.py" and top.name.startswith("__"))
+        and top.name not in imported
+        and not any(top.name in used for j, used in enumerate(uses) if j != k)]
+    assert test_only == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -18,12 +18,7 @@ from conftest import (
     write_series_file,
 )
 from funcutpoint import ingest
-from funcutpoint.ingest import (
-    SubjectSeries,
-    filter_days,
-    ingest_cohort,
-    parse_series,
-)
+from funcutpoint.ingest import SubjectSeries, ingest_cohort
 from funcutpoint.quantiles import parse_labels
 
 SEED = 20240815
@@ -40,6 +35,16 @@ def day_offsets(*holes, step=5):
     return offs
 
 
+def parsed(path):
+    """Each subject's sorted, deduped and clamped series, and its records_in,
+    deduped and clamped counts, from ingest_cohort under a day rule that
+    drops no day: no gap in a UTC day, its midnight coverage included,
+    exceeds 1440 minutes, and every subject has a day."""
+    kept, _, report = ingest_cohort(path, min_days=1, gap_mode="single", max_gap_minutes=1440.0)
+    return kept, {sid: {key: rec[key] for key in ("records_in", "deduped", "clamped")}
+                  for sid, rec in report["subjects"].items()}
+
+
 def test_parse_sorts_and_dedups(tmp_path):
     path = tmp_path / "series.csv"
     write_series_file(path, [
@@ -49,7 +54,7 @@ def test_parse_sorts_and_dedups(tmp_path):
         ("s1", "2024-03-01T00:05:00Z", "999999"),
         ("s2", "2024-03-01T00:00:00Z", "90"),
     ])
-    series, stats = parse_series(path)
+    series, stats = parsed(path)
     assert [s.subject_id for s in series] == ["s1", "s2"]
     s1 = series[0]
     assert np.all(np.diff(s1.times) > 0)
@@ -66,7 +71,7 @@ def test_parse_clamps_to_device_range(tmp_path):
         ("s1", "2024-03-01T00:05:00Z", "401.5"),
         ("s1", "2024-03-01T00:10:00Z", "40.0"),
     ])
-    series, stats = parse_series(path)
+    series, stats = parsed(path)
     np.testing.assert_array_equal(series[0].values, [40.0, 400.0, 40.0])
     assert stats["s1"]["clamped"] == 2
 
@@ -79,7 +84,7 @@ def test_timestamp_forms_are_equivalent(tmp_path):
         ("s3", "2024-03-01T00:00:00", "100"),
         ("s4", "2024-03-01T01:00:00+01:00", "100"),
     ])
-    series, _ = parse_series(path)
+    series, _ = parsed(path)
     stamps = {s.subject_id: int(s.times[0]) for s in series}
     assert len(set(stamps.values())) == 1
 
@@ -91,22 +96,22 @@ def test_parse_error_messages_name_the_line(tmp_path):
         ("s1", "not-a-time", "100"),
     ])
     with pytest.raises(ValueError, match="line 3"):
-        parse_series(bad_stamp)
+        parsed(bad_stamp)
 
     bad_value = tmp_path / "value.csv"
     write_series_file(bad_value, [("s1", "2024-03-01T00:00:00Z", "high")])
     with pytest.raises(ValueError, match="non-numeric glucose"):
-        parse_series(bad_value)
+        parsed(bad_value)
 
     bad_header = tmp_path / "header.csv"
     bad_header.write_text("id,time,value\ns1,2024-03-01T00:00:00Z,100\n")
     with pytest.raises(ValueError, match="expected header"):
-        parse_series(bad_header)
+        parsed(bad_header)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("subject_id,timestamp,glucose\n")
     with pytest.raises(ValueError, match="no data rows"):
-        parse_series(empty)
+        parsed(empty)
 
 
 def test_parse_labels(tmp_path):
@@ -133,10 +138,19 @@ def test_parse_labels(tmp_path):
     assert str(exc.value) == f"{dup} line 3: duplicate subject_id 'a'"
 
 
+def kept_days(s, max_gap_minutes=120.0, gap_mode="cumulative"):
+    """The series' rows on the days that ingest._day_rule keeps, with their
+    number as retained_days."""
+    bad, rows = ingest._day_rule(s.times, s.nominal_interval_minutes, max_gap_minutes, gap_mode)
+    keep = np.repeat(~bad, rows)
+    return SubjectSeries(s.subject_id, s.times[keep], s.values[keep], s.nominal_interval_minutes,
+                         int((~bad).sum()))
+
+
 def test_full_day_is_retained():
     s = make_series("s1", day_offsets(), np.full(288, 100.0))
     for mode in ("single", "cumulative"):
-        out = filter_days(s, gap_mode=mode)
+        out = kept_days(s, gap_mode=mode)
         assert out.retained_days == 1
         assert out.n_records == 288
 
@@ -146,7 +160,7 @@ def test_single_large_gap_drops_the_day():
     s = make_series("s1", offs, np.full(len(offs), 100.0))
     # A 125-minute hole exceeds the 120-minute budget under both rules.
     for mode in ("single", "cumulative"):
-        out = filter_days(s, gap_mode=mode)
+        out = kept_days(s, gap_mode=mode)
         assert out.retained_days == 0
         assert out.n_records == 0
 
@@ -155,15 +169,15 @@ def test_gap_modes_differ_on_repeated_medium_gaps():
     offs = day_offsets((100, 150), (400, 450), (700, 750))
     s = make_series("s1", offs, np.full(len(offs), 100.0))
     # Three 50-minute holes: each is under the budget, their sum is not.
-    assert filter_days(s, gap_mode="single").retained_days == 1
-    assert filter_days(s, gap_mode="cumulative").retained_days == 0
+    assert kept_days(s, gap_mode="single").retained_days == 1
+    assert kept_days(s, gap_mode="cumulative").retained_days == 0
 
 
 def test_boundary_coverage_counts_as_gap():
     offs = list(range(480, 1440, 5))
     s = make_series("s1", offs, np.full(len(offs), 100.0))
     for mode in ("single", "cumulative"):
-        assert filter_days(s, gap_mode=mode).retained_days == 0
+        assert kept_days(s, gap_mode=mode).retained_days == 0
 
 
 def test_gap_exactly_at_budget_is_kept():
@@ -171,14 +185,14 @@ def test_gap_exactly_at_budget_is_kept():
     s = make_series("s1", offs, np.full(len(offs), 100.0))
     # The hole is exactly 120 minutes; only strictly larger gaps drop a day.
     for mode in ("single", "cumulative"):
-        assert filter_days(s, gap_mode=mode).retained_days == 1
+        assert kept_days(s, gap_mode=mode).retained_days == 1
 
 
 def test_sampling_jitter_within_tolerance_is_not_a_gap():
     offs = list(range(0, 1440, 7))
     s = make_series("s1", offs, np.full(len(offs), 100.0))
     # 7-minute spacing on a 5-minute device stays under the 1.5x tolerance.
-    assert filter_days(s, gap_mode="cumulative").retained_days == 1
+    assert kept_days(s, gap_mode="cumulative").retained_days == 1
 
 
 def test_filter_keeps_only_clean_days():
@@ -188,7 +202,7 @@ def test_filter_keeps_only_clean_days():
         + [o + 2880 for o in day_offsets()]
     )
     s = make_series("s1", offs, np.full(len(offs), 100.0))
-    out = filter_days(s)
+    out = kept_days(s)
     assert out.retained_days == 2
     bad_day = np.unique(out.times // 86400)
     assert bad_day.size == 2
@@ -198,19 +212,11 @@ def test_filter_days_is_idempotent():
     rng = np.random.default_rng(SEED)
     offs = day_offsets((200, 330)) + [o + 1440 for o in day_offsets()]
     s = make_series("s1", offs, rng.uniform(80, 150, len(offs)))
-    once = filter_days(s)
-    twice = filter_days(once)
+    once = kept_days(s)
+    twice = kept_days(once)
     np.testing.assert_array_equal(once.times, twice.times)
     np.testing.assert_array_equal(once.values, twice.values)
     assert once.retained_days == twice.retained_days
-
-
-def test_filter_days_validation():
-    s = make_series("s1", [0, 5, 10], [100.0, 100.0, 100.0])
-    with pytest.raises(ValueError):
-        filter_days(s, gap_mode="weekly")
-    with pytest.raises(ValueError):
-        filter_days(s, max_gap_minutes=0.0)
 
 
 def test_series_validation():
@@ -461,7 +467,7 @@ def test_parse_series_matches_per_row_oracle(tmp_path, monkeypatch, per_row, dat
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     if per_row:
         monkeypatch.setattr(ingest, "_parse_columns", lambda data: None)
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
 
 
 def grouped_in_time_order(path) -> bool:
@@ -511,7 +517,7 @@ def test_ordered_files_sort_only_when_out_of_order(tmp_path, monkeypatch, per_ro
     sorts, lexsort = [], np.lexsort
     with monkeypatch.context() as patch:
         patch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
-        got = outcome(parse_series, path)
+        got = outcome(parsed, path)
     assert_same_outcome(got, outcome(parse_series_oracle, path))
     assert len(sorts) == (0 if grouped_in_time_order(path) else 1)
 
@@ -529,7 +535,7 @@ def test_fast_path_owns_canonical_files(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ingest, "_parse_series_rows", per_row_refused)
         patch.setattr(ingest, "_READ_BYTES", 64)
-        got = outcome(parse_series, path)
+        got = outcome(parsed, path)
     assert_same_outcome(got, want)
     assert got[1]["b"] == {"records_in": 3, "deduped": 1, "clamped": 2}
 
@@ -577,7 +583,7 @@ def test_fast_path_declines_other_forms(tmp_path, monkeypatch, line):
     path = tmp_path / "series.csv"
     path.write_bytes(b"subject_id,timestamp,glucose\n" + line + b"\n")
     monkeypatch.setattr(ingest, "_parse_series_rows", spy)
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
     assert calls == [path]
 
 
@@ -591,7 +597,7 @@ def test_fast_path_on_files_without_final_newline(tmp_path, monkeypatch, line):
     per_row, calls = ingest._parse_series_rows, []
     monkeypatch.setattr(ingest, "_parse_series_rows",
                         lambda path: calls.append(path) or per_row(path))
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
     assert calls == ([] if line is None else [path])
 
 
@@ -649,7 +655,7 @@ def test_fast_path_decodes_mixed_field_widths(tmp_path, monkeypatch, data, read_
     path.write_bytes(data)
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
 
 
 @pytest.mark.parametrize("width", [ingest._MAX_ID_BYTES, ingest._MAX_ID_BYTES + 1, 2000])
@@ -662,7 +668,7 @@ def test_fast_path_declines_blocks_with_long_ids(tmp_path, width):
                      + b"x" * width + b",2024-03-01T00:00:00Z,100\n"
                      + b"s1,2024-03-01T00:05:00Z,101\n")
     assert (ingest._parse_columns(path) is None) == (width > ingest._MAX_ID_BYTES)
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
 
 
 def canonical_lines(ids, per_subject):
@@ -718,7 +724,7 @@ def test_series_file_is_read_through_one_bounded_buffer(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
     record_reads(monkeypatch, reads)
-    got = outcome(parse_series, path)
+    got = outcome(parsed, path)
     assert_same_outcome(got, outcome(parse_series_oracle, path))
     size = path.stat().st_size
     assert size > 50 * 4096
@@ -765,7 +771,7 @@ def test_long_line_is_declined_after_one_read(tmp_path, monkeypatch):
     record_reads(monkeypatch, reads)
     assert ingest._parse_columns(path) is None
     assert sum(got for _, got in reads) <= len(ingest._HEADER) + ingest._MAX_LINE + 4096
-    assert_same_outcome(outcome(parse_series, path), outcome(parse_series_oracle, path))
+    assert_same_outcome(outcome(parsed, path), outcome(parse_series_oracle, path))
 
 
 @pytest.mark.parametrize("read_bytes", [7, ingest._READ_BYTES])
@@ -783,7 +789,7 @@ def test_file_growing_while_read_stays_column_wise(tmp_path, monkeypatch, read_b
     monkeypatch.setattr(ingest, "_READ_BYTES", read_bytes)
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
     record_reads(monkeypatch, [], append_rows)
-    got = outcome(parse_series, path)
+    got = outcome(parsed, path)
     assert_same_outcome(got, outcome(parse_series_oracle, path))
     assert [s[0] for s in got[0]] == ["a", "b", "c10"]
 
@@ -798,7 +804,7 @@ def test_fifo_is_read_column_wise(tmp_path, monkeypatch):
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
     monkeypatch.setattr(ingest, "_parse_series_rows", per_row_refused)
-    got = outcome(parse_series, fifo)
+    got = outcome(parsed, fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert_same_outcome(got, outcome(parse_series_oracle, regular))
@@ -821,7 +827,7 @@ def test_filter_days_matches_per_day_loop(runs, start, nominal, max_gap, gap_mod
     steps = [step for count, step in runs for _ in range(count)]
     offsets = start + np.cumsum(np.asarray(steps, dtype=np.int64))
     s = make_series("s1", offsets, np.arange(offsets.size, dtype=float), nominal=nominal)
-    out = filter_days(s, max_gap, gap_mode)
+    out = kept_days(s, max_gap, gap_mode)
     times, values, retained = filter_days_oracle(s, max_gap, gap_mode)
     np.testing.assert_array_equal(out.times, times)
     np.testing.assert_array_equal(out.values, values)

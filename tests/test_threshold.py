@@ -13,7 +13,6 @@ from funcutpoint.threshold import (
     classify,
     cutoff_curve,
     estimate_mu,
-    margin,
     margin_vector,
     read_cutoff_json,
     standardise,
@@ -118,20 +117,20 @@ def test_margin_examples():
     mu = np.array([10.0, 20.0, 30.0])
     fam = ThresholdFamily(grid, mu, np.ones(3))
     shifted = QuantileCurve("up", grid, mu + 3.0)
-    assert margin(shifted, fam) == 3.0
+    assert margin_vector([shifted], fam)[shifted.subject_id] == 3.0
 
     curve = QuantileCurve("mix", grid, mu + np.array([2.0, -1.0, 4.0]))
-    assert margin(curve, fam) == -1.0
+    assert margin_vector([curve], fam)[curve.subject_id] == -1.0
 
     fam_scaled = ThresholdFamily(grid, mu, np.array([1.0, 2.0, 1.0]))
-    assert margin(curve, fam_scaled) == -0.5
+    assert margin_vector([curve], fam_scaled)[curve.subject_id] == -0.5
 
 
 def test_margin_grid_mismatch():
     fam = ThresholdFamily(default_grid(4), np.zeros(4), np.ones(4))
     other = QuantileCurve("x", default_grid(5), np.zeros(5))
     with pytest.raises(ValueError, match="grid mismatch"):
-        margin(other, fam)
+        margin_vector([other], fam)[other.subject_id]
     with pytest.raises(ValueError, match="grid mismatch"):
         margin_vector([other], fam)
 
@@ -158,7 +157,7 @@ def test_classification_equals_pointwise_rule():
         for i in range(int(rng.integers(1, 8))):
             curve = QuantileCurve(f"s{i}", grid, np.sort(rng.normal(0.0, 6.0, m)))
             direct = curve_above_threshold(curve.values, mu, sigma, c)
-            via_margin = margin(curve, fam) >= c
+            via_margin = margin_vector([curve], fam)[curve.subject_id] >= c
             assert direct == via_margin
 
 
@@ -175,7 +174,8 @@ def test_margin_shift_rules():
     for sid in base:
         assert moved[sid] == pytest.approx(base[sid] - k, abs=1e-9)
     curve_up = QuantileCurve("u", grid, curves[0].values + k)
-    assert margin(curve_up, fam) == pytest.approx(base["s0"] + k, abs=1e-9)
+    assert (margin_vector([curve_up], fam)[curve_up.subject_id]
+            == pytest.approx(base["s0"] + k, abs=1e-9))
 
 
 def test_predicted_positives_are_nested_in_c():
@@ -209,7 +209,7 @@ def test_margin_vector_matches_scalar_margin():
     fam = estimate_mu(curves, with_sigma=True)
     vec = margin_vector(curves, fam)
     for c in curves:
-        assert vec[c.subject_id] == pytest.approx(margin(c, fam), abs=0)
+        assert vec[c.subject_id] == pytest.approx(margin_vector([c], fam)[c.subject_id], abs=0)
 
 
 def test_family_validation():
