@@ -30,13 +30,11 @@ _EXPORTS = {
     "roc_points": "cutpoint",
     "sweep_metrics": "cutpoint",
     "IndexVector": "indices",
-    "basic_indices": "indices",
     "compute_indices": "indices",
     "conga": "indices",
     "mage": "indices",
     "SubjectSeries": "ingest",
     "ingest_cohort": "ingest",
-    "SmoothConfig": "monotone",
     "monotone_smooth": "monotone",
     "moving_average": "monotone",
     "pava": "monotone",

@@ -142,7 +142,7 @@ def _aggregate(criterion, point_c, cols, ref_grid, cfg, curve_grid=None):
         seed=cfg.seed,
     )
     if curve_grid is not None:
-        lo, hi = np.quantile(cols["curve"], qs, axis=1, method="linear")
+        lo, hi = np.quantile(cols["curve"], qs, axis=1, method="linear", overwrite_input=True)
         summary.curve_grid = curve_grid
         summary.curve_lower = lo
         summary.curve_upper = hi

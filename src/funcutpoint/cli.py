@@ -46,7 +46,7 @@ from .cutpoint import (
 )
 from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
 from .ingest import GAP_MODES, ingest_cohort
-from .monotone import SmoothConfig, monotone_smooth, write_curve_values_csv
+from .monotone import monotone_smooth, write_curve_values_csv
 from .quantiles import (
     default_grid,
     empirical_quantile,
@@ -203,7 +203,7 @@ def cmd_ingest(args):
     kept, report = _ingest(args, args.labels)
     return [("report.json", write_json, report), ("grid.json", write_grid_json, grid),
             ("curves.csv", write_curves_csv, [s.subject_id for s in kept],
-             np.vstack([empirical_quantile(s.values, grid).values for s in kept]))]
+             np.vstack([empirical_quantile(s.values, grid) for s in kept]))]
 
 
 def cmd_fit(args):
@@ -216,7 +216,7 @@ def cmd_fit(args):
         smoothed = None
         if args.smooth:
             smoothed, extra["smoothing_max_change"] = monotone_smooth(
-                cutoff_curve(family, result.c_hat), SmoothConfig(args.window)
+                cutoff_curve(family, result.c_hat), args.window
             )
             artifacts.append(("smoothed_curve.csv", write_curve_values_csv, family.grid,
                               smoothed))

@@ -19,7 +19,6 @@ from .quantiles import empirical_quantile, write_csv
 
 __all__ = [
     "IndexVector",
-    "basic_indices",
     "mage",
     "conga",
     "compute_indices",
@@ -74,33 +73,6 @@ def _auc_index(series: SubjectSeries) -> float:
     if duration == 0.0:
         raise ValueError("no contiguous segments for the AUC index")
     return area / duration
-
-
-def basic_indices(series: SubjectSeries, tar_inclusive: bool = True):
-    """(mg, sd, cv, iqr, tar140, tar180, auc_index) for one subject.
-
-    sd uses the n-1 denominator; cv = 100*sd/mg (NaN when mg <= 0, which
-    clamped CGM data never produces); iqr is Q(0.75)-Q(0.25) under the
-    same left-continuous quantile definition the curves use; tar is the
-    fraction of samples at or above the threshold.
-    """
-    if series.n_records < 2:
-        raise ValueError("need at least 2 records for the basic indices")
-    v = series.values
-    mg = float(np.mean(v))
-    sd = float(np.std(v, ddof=1))
-    cv = 100.0 * sd / mg if mg > 0 else float("nan")
-    quart = empirical_quantile(v, np.array([0.25, 0.75])).values
-    iqr = float(quart[1] - quart[0])
-    return (
-        mg,
-        sd,
-        cv,
-        iqr,
-        _tar(v, 140.0, tar_inclusive),
-        _tar(v, 180.0, tar_inclusive),
-        _auc_index(series),
-    )
 
 
 def mage(series: SubjectSeries) -> float:
@@ -162,18 +134,32 @@ def compute_indices(
     conga_horizon_hours: float = 1.0,
     tar_inclusive: bool = True,
 ) -> IndexVector:
-    mg_, sd, cv, iqr, tar140, tar180, auc_index = basic_indices(series, tar_inclusive)
+    """Every index of one subject.
+
+    sd uses the n-1 denominator; cv = 100*sd/mg (NaN when mg <= 0, which
+    clamped CGM data never produces); iqr is Q(0.75)-Q(0.25) under the
+    same left-continuous quantile definition the curves use; tar is the
+    fraction of samples at or above the threshold (above it when not
+    tar_inclusive).
+    """
+    if series.n_records < 2:
+        raise ValueError("need at least 2 records for the basic indices")
+    v = series.values
+    mg = float(np.mean(v))
+    sd = float(np.std(v, ddof=1))
+    quart = empirical_quantile(v, np.array([0.25, 0.75]))
+    auc_index = _auc_index(series)
     return IndexVector(
         subject_id=series.subject_id,
-        mg=mg_,
+        mg=mg,
         sd=sd,
-        cv=cv,
-        iqr=iqr,
+        cv=100.0 * sd / mg if mg > 0 else float("nan"),
+        iqr=float(quart[1] - quart[0]),
         mage=mage(series),
         conga=conga(series, conga_horizon_hours),
         auc_index=auc_index,
-        tar140=tar140,
-        tar180=tar180,
+        tar140=_tar(v, 140.0, tar_inclusive),
+        tar180=_tar(v, 180.0, tar_inclusive),
     )
 
 

@@ -9,6 +9,7 @@ is attributed in the ingest report; nothing is lost silently.
 from __future__ import annotations
 
 import os
+import stat
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -297,8 +298,13 @@ def _parse_columns(path):
 def _parse_series_rows(path):
     """The per-row reader: the reference for every form and error message.
 
-    Returns what _parse_columns returns, for any file the csv module reads.
+    Returns what _parse_columns returns, for any regular file the csv module
+    reads. It runs after _parse_columns has declined the input, so it opens
+    the path a second time, which a pipe or FIFO cannot serve.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path}: a series on a pipe or FIFO must be in the canonical "
+                      "form; any other form is read from a regular file")
     index: dict[str, int] = {}
     times, glucose, codes = array("q"), array("d"), array("i")
     check_header = _header_is(path, ["subject_id", "timestamp", "glucose"])

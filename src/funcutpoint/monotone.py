@@ -1,67 +1,40 @@
 """Monotone projection of reported cutoff curves.
 
 A fitted cutoff curve must be nondecreasing in rho to be a valid quantile
-curve. The projection is weighted isotonic regression via the
+curve. The projection is isotonic least squares via the
 pool-adjacent-violators algorithm, optionally preceded by a centered
 moving average.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quantiles import write_csv
 
-__all__ = ["SmoothConfig", "pava", "moving_average", "monotone_smooth",
-           "write_curve_values_csv"]
+__all__ = ["pava", "moving_average", "monotone_smooth", "write_curve_values_csv"]
 
 
-@dataclass(frozen=True)
-class SmoothConfig:
-    """window: odd moving-average width; 1 disables pre-smoothing."""
-
-    window: int = 1
-
-    def __post_init__(self) -> None:
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be an odd integer >= 1")
-
-
-def pava(values, weights=None) -> np.ndarray:
-    """Weighted least-squares nondecreasing fit (pool adjacent violators).
+def pava(values) -> np.ndarray:
+    """Least-squares nondecreasing fit (pool adjacent violators).
 
     Returns the unique projection of `values` onto the nondecreasing cone
-    under the weighted squared error. Idempotent; preserves the weighted
-    mean.
+    under the squared error. Idempotent; preserves the mean.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
-    if weights is None:
-        w = np.ones_like(v)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape:
-            raise ValueError("weights length does not match values")
-        if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
-            raise ValueError("weights must be positive and finite")
 
-    # Stack of merged blocks: running (mean, weight, count) triples.
+    # Stack of merged blocks: running (mean, count) pairs.
     means: list[float] = []
-    wsums: list[float] = []
     counts: list[int] = []
-    for val, wt in zip(v, w):
+    for val in v:
         means.append(float(val))
-        wsums.append(float(wt))
         counts.append(1)
         while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wsums.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), wsums.pop(), counts.pop()
-            wt_sum = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt_sum)
-            wsums.append(wt_sum)
+            m2, c2 = means.pop(), counts.pop()
+            m1, c1 = means.pop(), counts.pop()
+            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
             counts.append(c1 + c2)
     return np.concatenate([np.full(c, m) for m, c in zip(means, counts)])
 
@@ -82,13 +55,13 @@ def moving_average(values, window: int) -> np.ndarray:
     return out
 
 
-def monotone_smooth(values, cfg: SmoothConfig = SmoothConfig()):
-    """Moving average (optional) followed by pava.
+def monotone_smooth(values, window: int = 1):
+    """Moving average of odd width `window` (1 disables it) followed by pava.
 
     Returns (smoothed values, max absolute change from the input).
     """
     v = np.asarray(values, dtype=float)
-    smoothed = pava(moving_average(v, cfg.window))
+    smoothed = pava(moving_average(v, window))
     return smoothed, float(np.max(np.abs(smoothed - v)))
 
 

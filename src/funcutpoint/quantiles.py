@@ -81,16 +81,13 @@ class QuantileCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @property
-    def m(self) -> int:
-        return self.grid.size
 
-
-def empirical_quantile(observations, grid, subject_id: str = "") -> QuantileCurve:
+def empirical_quantile(observations, grid) -> np.ndarray:
     """Left-continuous inverse of the empirical CDF on the grid.
 
     For each rho the value is the smallest observation t such that the
-    fraction of observations <= t reaches rho.
+    fraction of observations <= t reaches rho: a finite, nondecreasing
+    array the size of the grid.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.size == 0:
@@ -103,7 +100,7 @@ def empirical_quantile(observations, grid, subject_id: str = "") -> QuantileCurv
     fractions = np.arange(1, n + 1, dtype=float) / n
     idx = np.searchsorted(fractions, grid, side="left")
     idx = np.minimum(idx, n - 1)
-    return QuantileCurve(subject_id, grid, ordered[idx])
+    return ordered[idx]
 
 
 def write_json(path, payload) -> None:

@@ -392,6 +392,40 @@ def test_bands_hold_no_float_replicate_rows():
         assert peak < bound_mb * 1e6
 
 
+def test_curve_band_is_taken_in_place():
+    """Peak traced memory of _aggregate on a (100, 1000) curve column stays
+    below one copy of it (0.8 MB): the curve band's quantiles overwrite the
+    column, as the sweep band's do their blocks."""
+    rng = np.random.default_rng(SEED + 13)
+    m, B = 100, 1000
+    ref_grid = np.linspace(-1.0, 1.0, bootstrap.SWEEP_BAND_POINTS)
+
+    def aggregate(cols):
+        return bootstrap._aggregate("youden", 0.0, cols, ref_grid, BootstrapConfig(B=B),
+                                    curve_grid=default_grid(m))
+
+    def columns():
+        cols = bootstrap._columns(B, 100, curve_m=m)
+        for name in ("c_hat", *bootstrap.METRIC_NAMES):
+            cols[name][:] = rng.normal(size=B)
+        cols["below"][:] = np.linspace(0, 100, ref_grid.size + 1).astype(int)[:, None]
+        cols["case_lt"][:] = cols["below"] // 2
+        cols["curve"][:] = rng.normal(size=(m, B))
+        return cols
+
+    aggregate(columns())  # numpy's one-time set-up of np.quantile, untraced
+    cols = columns()
+    want = np.quantile(cols["curve"], [0.025, 0.975], axis=1, method="linear")
+    tracemalloc.start()
+    try:
+        got = aggregate(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cols["curve"].nbytes
+    assert hex_list([got.curve_lower, got.curve_upper]) == hex_list(want)
+
+
 def test_functional_bootstrap_thread_invariance():
     curves, labels = cohort(seed=8)
     cfg = BootstrapConfig(B=16, seed=2)
@@ -407,7 +441,7 @@ def test_functional_curve_band():
     summary = bootstrap_cutpoint(curves, labels, cfg=BootstrapConfig(B=40, seed=6))
     np.testing.assert_array_equal(summary.curve_grid, curves[0].grid)
     assert np.all(summary.curve_lower <= summary.curve_upper)
-    assert summary.curve_lower.size == curves[0].m
+    assert summary.curve_lower.size == curves[0].grid.size
 
 
 def test_perfectly_separated_functional_metrics():
@@ -496,4 +530,4 @@ def test_band_csv_writers(tmp_path):
     write_curve_band_csv(curve_path, summary)
     lines = curve_path.read_text().splitlines()
     assert lines[0] == "rho,lower,upper"
-    assert len(lines) == 1 + curves[0].m
+    assert len(lines) == 1 + curves[0].grid.size

@@ -1445,6 +1445,28 @@ def test_ingest_reads_a_fifo_once_and_records_no_digest_for_it(cohort_files, tmp
                     == (tmp_path / "file" / name).read_bytes()), name
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_ingest_fails_on_a_fifo_the_decoder_declines(cohort_files, tmp_path):
+    """A CRLF series on a FIFO is declined by the column-wise decoder, which
+    has consumed it: the process exits 2 within _python's timeout, with one
+    error line naming the FIFO and no manifest, instead of opening it again."""
+    series, labels = cohort_files
+    assert b"\r\n" in series.read_bytes()
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(series.read_bytes(),), daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    proc = _cli(["ingest", "--series", str(fifo), "--labels", str(labels),
+                 "--nominal-interval", "15", "--out", str(out)])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {fifo}: a series on a pipe or FIFO must be in the "
+                           "canonical form; any other form is read from a regular file\n")
+    assert not (out / "manifest.json").exists()
+
+
 def test_console_script_and_module_exit_through_run():
     """The `funcutpoint` console script and `python -m funcutpoint.cli`
     both end through cli.run."""

@@ -221,6 +221,29 @@ def test_no_top_level_definition_is_test_only():
     assert test_only == []
 
 
+def _attributes(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_no_class_member_is_test_only():
+    """Every method and property of a class in src/ (dunders aside) is read
+    as an attribute in src/, or by the acceptance gates or the oracles. A
+    member that only the tests use fails here."""
+    src = Path(funcutpoint.__file__).parent
+    tests = Path(__file__).parent
+    paths = [*sorted(src.glob("*.py")), tests / "test_acceptance.py", tests / "conftest.py"]
+    used = set().union(*map(_attributes, paths))
+    test_only = [
+        f"{path.name}:{top.name}.{member.name}" for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text()).body if isinstance(top, ast.ClassDef)
+        for member in top.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and member.name not in used]
+    assert test_only == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -4,76 +4,83 @@ import numpy as np
 import pytest
 
 from conftest import make_series
+from funcutpoint import indices
 from funcutpoint.indices import (
     INDEX_COLUMNS,
-    basic_indices,
+    _auc_index,
     compute_indices,
     conga,
     mage,
     write_indices_csv,
 )
+from funcutpoint.quantiles import empirical_quantile
 
 SEED = 20240816
 
 
+@pytest.fixture
+def basic(monkeypatch):
+    """compute_indices with MAGE and CONGA stubbed to 0.0, for series on
+    which they fail (under 3 records, no CONGA pairs): its other fields are
+    the basic indices."""
+    monkeypatch.setattr(indices, "mage", lambda series: 0.0)
+    monkeypatch.setattr(indices, "conga", lambda series, horizon_hours: 0.0)
+    return compute_indices
+
+
 def test_basic_indices_constant_series():
     s = make_series("c", range(0, 120, 5), np.full(24, 100.0))
-    mg, sd, cv, iqr, tar140, tar180, auc_index = basic_indices(s)
-    assert mg == 100.0
-    assert sd == 0.0
-    assert cv == 0.0
-    assert iqr == 0.0
-    assert tar140 == 0.0 and tar180 == 0.0
-    assert auc_index == pytest.approx(100.0)
+    vec = compute_indices(s)
+    assert vec.mg == 100.0
+    assert vec.sd == 0.0
+    assert vec.cv == 0.0
+    assert vec.iqr == 0.0
+    assert vec.tar140 == 0.0 and vec.tar180 == 0.0
+    assert vec.auc_index == pytest.approx(100.0)
 
 
-def test_basic_indices_two_points():
+def test_basic_indices_two_points(basic):
     s = make_series("p", [0, 5], [100.0, 200.0])
-    mg, sd, cv, iqr, tar140, tar180, auc_index = basic_indices(s)
-    assert mg == 150.0
-    assert sd == pytest.approx(np.std([100.0, 200.0], ddof=1))
-    assert cv == pytest.approx(100.0 * sd / 150.0)
-    assert iqr == 100.0
-    assert tar140 == 0.5 and tar180 == 0.5
-    assert auc_index == pytest.approx(150.0)
+    vec = basic(s)
+    assert vec.mg == 150.0
+    assert vec.sd == pytest.approx(np.std([100.0, 200.0], ddof=1))
+    assert vec.cv == pytest.approx(100.0 * vec.sd / 150.0)
+    assert vec.iqr == 100.0
+    assert vec.tar140 == 0.5 and vec.tar180 == 0.5
+    assert vec.auc_index == pytest.approx(150.0)
 
 
-def test_tar_threshold_convention():
+def test_tar_threshold_convention(basic):
     s = make_series("t", [0, 5], [180.0, 100.0])
-    *_, tar140, tar180, _ = basic_indices(s, tar_inclusive=True)
-    assert tar180 == 0.5
-    *_, tar140x, tar180x, _ = basic_indices(s, tar_inclusive=False)
-    assert tar180x == 0.0
-    low = make_series("l", [0, 5], [54.0, 54.0])
-    *_, low140, low180, _ = basic_indices(low)
-    assert low140 == 0.0 and low180 == 0.0
+    assert basic(s, tar_inclusive=True).tar180 == 0.5
+    assert basic(s, tar_inclusive=False).tar180 == 0.0
+    low = basic(make_series("l", [0, 5], [54.0, 54.0]))
+    assert low.tar140 == 0.0 and low.tar180 == 0.0
 
 
 def test_basic_indices_needs_two_records():
     s = make_series("one", [0], [100.0])
-    with pytest.raises(ValueError):
-        basic_indices(s)
+    with pytest.raises(ValueError, match="need at least 2 records for the basic indices"):
+        compute_indices(s)
 
 
 def test_auc_index_does_not_bridge_long_gaps():
     offs = list(range(0, 125, 5)) + [3 * 1440 + o for o in range(0, 65, 5)]
     values = [100.0] * 25 + [200.0] * 13
     s = make_series("g", offs, values)
-    *_, auc_index = basic_indices(s)
     # 2 hours at 100 and 1 hour at 200, the multi-day hole contributes nothing.
-    assert auc_index == pytest.approx(400.0 / 3.0)
+    assert compute_indices(s).auc_index == pytest.approx(400.0 / 3.0)
 
 
-def test_auc_index_skips_singleton_segments():
+def test_auc_index_skips_singleton_segments(basic):
     s = make_series("i", [0, 5, 10, 10 * 1440], [100.0, 100.0, 100.0, 400.0])
-    *_, auc_index = basic_indices(s)
-    assert auc_index == pytest.approx(100.0)
+    assert basic(s).auc_index == pytest.approx(100.0)
 
 
 def test_auc_index_requires_a_segment():
     s = make_series("x", [0, 1440], [100.0, 200.0])
     with pytest.raises(ValueError, match="no contiguous segments"):
-        basic_indices(s)
+        compute_indices(s)
 
 
 def test_mage_alternating_example():
@@ -154,11 +161,14 @@ def test_compute_indices_matches_parts():
     values = np.clip(120.0 + np.cumsum(rng.normal(0, 4, 288)), 60.0, 300.0)
     s = make_series("w", range(0, 1440, 5), values)
     vec = compute_indices(s)
-    mg, sd, cv, iqr, tar140, tar180, auc_index = basic_indices(s)
+    mg = float(np.mean(values))
+    sd = float(np.std(values, ddof=1))
+    quart = empirical_quantile(values, np.array([0.25, 0.75]))
     assert vec.subject_id == "w"
-    assert vec.mg == mg and vec.sd == sd and vec.cv == cv
-    assert vec.iqr == iqr and vec.auc_index == auc_index
-    assert vec.tar140 == tar140 and vec.tar180 == tar180
+    assert vec.mg == mg and vec.sd == sd and vec.cv == 100.0 * sd / mg
+    assert vec.iqr == float(quart[1] - quart[0]) and vec.auc_index == _auc_index(s)
+    assert vec.tar140 == float(np.mean(values >= 140.0))
+    assert vec.tar180 == float(np.mean(values >= 180.0))
     assert vec.mage == mage(s)
     assert vec.conga == conga(s)
 
