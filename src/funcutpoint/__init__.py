@@ -8,12 +8,20 @@ and glycemic comparison indices round out the pipeline.
 
 The package namespace is lazy (PEP 562): `import funcutpoint` loads
 neither numpy nor any submodule, and each exported name imports its
-submodule on first use.
+submodule on first use. The choices of the CLI's options are defined here,
+so its parser loads no submodule; the modules that check them import them
+from here.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+CRITERIA = ("youden", "max_sensitivity", "max_specificity")
+MU_MODES = ("pooled-mean", "group-mean", "pointwise-median")
+GAP_MODES = ("single", "cumulative")
+SPREAD_MODES = ("shared-base", "literal")
+U2_MODES = ("literal", "rho-scaled")
 
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
@@ -21,7 +29,6 @@ _EXPORTS = {
     "BootstrapSummary": "bootstrap",
     "bootstrap_cutpoint": "bootstrap",
     "bootstrap_scalar": "bootstrap",
-    "CRITERIA": "cutpoint",
     "CutpointResult": "cutpoint",
     "auc": "cutpoint",
     "candidate_set": "cutpoint",
@@ -55,7 +62,7 @@ _EXPORTS = {
     "margin_vector": "threshold",
 }
 
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__", "CRITERIA", *_EXPORTS]
 
 
 def __getattr__(name):

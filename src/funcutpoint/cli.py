@@ -5,6 +5,7 @@ an input that is not a regular file, such as a pipe, has a null digest.
 
 Each cmd_* handler returns its artifacts as (file name, writer, *payload);
 main writes them and the manifest once it has returned, so a failed run writes none.
+Each handler imports the modules it runs, so a process loads only its command's.
 
 Exit codes: 0 success, 1 computation error, 2 usage or file error.
 """
@@ -12,7 +13,6 @@ Exit codes: 0 success, 1 computation error, 2 usage or file error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import stat
 import sys
@@ -27,50 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import __version__
-from .bootstrap import (
-    BootstrapConfig,
-    bootstrap_curves,
-    bootstrap_scalar,
-    write_bootstrap_summary_json,
-    write_curve_band_csv,
-    write_sweep_band_csv,
-)
-from .cutpoint import (
-    CRITERIA,
-    confusion_at,
-    optimize,
-    write_result_json,
-    write_roc_csv,
-    write_sweep_csv,
-)
-from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
-from .ingest import GAP_MODES, ingest_cohort
-from .monotone import monotone_smooth, write_curve_values_csv
-from .quantiles import (
-    default_grid,
-    empirical_quantile,
-    label_array,
-    parse_labels,
-    read_curves_csv,
-    read_grid_json,
-    read_scores_csv,
-    write_csv,
-    write_curves_csv,
-    write_grid_json,
-    write_json,
-)
-from .simulate import SPREAD_MODES, U2_MODES, run_study, summarize_study, \
-    write_study_csv, write_summary_csv
-from .threshold import (
-    MU_MODES,
-    ThresholdFamily,
-    cutoff_curve,
-    read_cutoff_json,
-    row_margins,
-    standardise,
-    write_cutoff_json,
-)
+from . import CRITERIA, GAP_MODES, MU_MODES, SPREAD_MODES, U2_MODES, __version__
 
 __all__ = ["main", "run"]
 
@@ -143,9 +100,12 @@ _HASH_CHUNK = 1 << 20
 
 def _sha256(path) -> str | None:
     """The SHA-256 of a regular file; None for a pipe or any other input,
-    which the command has already read and which cannot be read again."""
+    which the command has already read and which cannot be read again.
+    hashlib loads OpenSSL, several MB resident, so it is imported here,
+    once the artifacts are written and the command's arrays are freed."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):
@@ -155,12 +115,14 @@ def _sha256(path) -> str | None:
 
 def _join_labels(ids, labels_path):
     """The labels of `ids` from the labels file, in order."""
+    from .quantiles import label_array, parse_labels
     return label_array(ids, parse_labels(labels_path), labels_path)
 
 
 def _labelled_sample(args):
     """The grid (None on the scalar route), the n x m matrix of --curves or
     the scores of --scores, and the labels of their rows, in file order."""
+    from .quantiles import read_curves_csv, read_grid_json, read_scores_csv
     grid = None
     if args.scores:
         ids, values = read_scores_csv(args.scores, args.score_column)
@@ -177,6 +139,7 @@ def _scored_sample(args):
     grid, values, labels_arr = _labelled_sample(args)
     if grid is None:
         return None, (-values if args.direction == "low" else values), labels_arr
+    from .threshold import ThresholdFamily, standardise
     mu, sigma, scores = standardise(values, labels_arr, args.mu_mode, args.group, args.with_sigma)
     return ThresholdFamily(grid, mu, sigma), scores, labels_arr
 
@@ -184,6 +147,7 @@ def _scored_sample(args):
 def _ingest(args, labels_path):
     """The subjects of --series kept by the day filter and the ingest
     report; fails naming the series file when no subject is kept."""
+    from .ingest import ingest_cohort
     kept, _, report = ingest_cohort(
         args.series,
         labels_path,
@@ -199,6 +163,8 @@ def _ingest(args, labels_path):
 
 
 def cmd_ingest(args):
+    from .quantiles import (default_grid, empirical_quantile, write_curves_csv,
+                            write_grid_json, write_json)
     grid = default_grid(args.grid_size)
     kept, report = _ingest(args, args.labels)
     return [("report.json", write_json, report), ("grid.json", write_grid_json, grid),
@@ -207,14 +173,17 @@ def cmd_ingest(args):
 
 
 def cmd_fit(args):
+    from .cutpoint import optimize, write_result_json, write_roc_csv, write_sweep_csv
     family, scores, labels_arr = _scored_sample(args)
     c_grid = None if args.c_grid is None else np.linspace(*args.c_grid)
     result = optimize(scores, labels_arr, args.criterion, bounds=args.bounds, c_grid=c_grid)
     extra = {"n_subjects": int(labels_arr.size)}
     artifacts = [("sweep.csv", write_sweep_csv, result), ("roc.csv", write_roc_csv, result)]
     if family is not None:
+        from .threshold import cutoff_curve, write_cutoff_json
         smoothed = None
         if args.smooth:
+            from .monotone import monotone_smooth, write_curve_values_csv
             smoothed, extra["smoothing_max_change"] = monotone_smooth(
                 cutoff_curve(family, result.c_hat), args.window
             )
@@ -230,6 +199,9 @@ def cmd_fit(args):
 
 
 def cmd_bootstrap(args):
+    from .bootstrap import (BootstrapConfig, bootstrap_curves, bootstrap_scalar,
+                            write_bootstrap_summary_json, write_curve_band_csv,
+                            write_sweep_band_csv)
     cfg = BootstrapConfig(B=args.B, alpha=args.alpha, seed=args.seed,
                           max_redraws=args.max_redraws)
     try:
@@ -256,6 +228,8 @@ def cmd_bootstrap(args):
 
 
 def cmd_classify(args):
+    from .quantiles import read_curves_csv, read_grid_json, write_csv, write_json
+    from .threshold import read_cutoff_json, row_margins
     family, c_hat, criterion, _ = read_cutoff_json(args.cutoff)
     grid = read_grid_json(args.grid)
     if not np.array_equal(grid, family.grid):
@@ -267,6 +241,7 @@ def cmd_classify(args):
     artifacts = [("predictions.csv", write_csv, ["subject_id", "margin", "prediction"],
                   zip(ids, margins.tolist(), (margins >= c_hat).astype(int).tolist()))]
     if labels_arr is not None:
+        from .cutpoint import confusion_at
         sens, spec, youden = confusion_at(margins, labels_arr, c_hat)
         artifacts.append(("metrics.json", write_json, {
             "c_hat": c_hat,
@@ -281,6 +256,8 @@ def cmd_classify(args):
 
 
 def cmd_simulate(args):
+    from .quantiles import default_grid
+    from .simulate import run_study, summarize_study, write_study_csv, write_summary_csv
     cells = [(a, b, n) for a in args.a for b in args.b for n in args.n]
     rows, meta = run_study(
         cells,
@@ -303,6 +280,8 @@ def cmd_indices(args):
         raise ValueError("--conga-horizon-hours must be positive")
     if not np.isfinite(args.conga_horizon_hours * 3600.0):
         raise ValueError("--conga-horizon-hours must be finite in seconds")
+    from .indices import MAGE_CONVENTION, compute_indices, write_indices_csv
+    from .quantiles import write_json
     kept, report = _ingest(args, None)
     rows = []
     for s in kept:
@@ -319,6 +298,8 @@ def cmd_indices(args):
 
 
 def cmd_roc(args):
+    from .cutpoint import optimize, write_roc_csv
+    from .quantiles import write_json
     _, scores, labels_arr = _scored_sample(args)
     result = optimize(scores, labels_arr)
     return [("roc.csv", write_roc_csv, result), ("auc.json", write_json, {
@@ -355,6 +336,8 @@ def _scored_inputs(args):
         raise _UsageError("exactly one of --curves or --scores is required")
     if args.curves and not args.grid:
         raise _UsageError("--curves requires --grid")
+    if args.scores and getattr(args, "split_fraction", None) is not None:
+        raise _UsageError("--split-fraction applies to --curves only")
     return [args.labels] + ([args.curves, args.grid] if args.curves else [args.scores])
 
 
@@ -488,6 +471,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    from .quantiles import write_json
     write_json(out_dir / "manifest.json", {
         "command": args.command,
         "argv": argv,

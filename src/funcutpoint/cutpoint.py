@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CRITERIA
 from .quantiles import write_csv, write_json
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "write_result_json",
 ]
 
-CRITERIA = ("youden", "max_sensitivity", "max_specificity")
 # Batched callers (both bootstraps and the replicate study) sweep their
 # replicates in chunks, as many at once as keep each replicate's candidate
 # columns (the width of its sweep) within _CHUNK_ELEMENTS elements.

@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import GAP_MODES
 from .quantiles import _header_is, parse_labels, subject_rows
 
 __all__ = [
@@ -27,7 +28,6 @@ SECONDS_PER_DAY = 86400
 # The device's reporting range in mg/dL: readings outside it are clamped.
 GLUCOSE_LO = 40.0
 GLUCOSE_HI = 400.0
-GAP_MODES = ("single", "cumulative")
 # Deltas up to 1.5x the nominal interval are ordinary sampling jitter, not
 # data loss; only longer deltas count toward a day's non-acquisition time.
 GAP_TOLERANCE_FACTOR = 1.5

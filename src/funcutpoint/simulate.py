@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutpoint import CRITERIA, _chunks, pick, rates, sorted_sweeps
+from . import CRITERIA, SPREAD_MODES, U2_MODES
+from .cutpoint import _chunks, pick, rates, sorted_sweeps
 from .normal import TruncNormalSpec, tn_quantile
 from .quantiles import QuantileCurve, check_grid, default_grid, write_csv
 from .threshold import standardise
@@ -44,8 +45,6 @@ __all__ = [
     "write_summary_csv",
 ]
 
-SPREAD_MODES = ("shared-base", "literal")
-U2_MODES = ("literal", "rho-scaled")
 BASE_SPREAD = 5.0
 _MAX_REGENERATIONS = 1000
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutpoint import CRITERIA
+from . import CRITERIA, MU_MODES
 from .quantiles import (QuantileCurve, check_grid, curve_matrix, json_number, json_numbers,
                         label_array, load_json_object, write_json)
 
@@ -28,7 +28,6 @@ __all__ = [
     "read_cutoff_json",
 ]
 
-MU_MODES = ("pooled-mean", "group-mean", "pointwise-median")
 SIGMA_FLOOR = 1e-6
 
 

@@ -291,6 +291,19 @@ def test_bootstrap_scalar_alpha_nesting(scores_files, tmp_path):
     assert cis["0.05"][0] <= cis["0.5"][0] <= cis["0.5"][1] <= cis["0.05"][1]
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_bootstrap_split_fraction_applies_to_curves_only(scores_files, tmp_path, capsys, exists):
+    """--split-fraction with --scores is a usage error, raised before any
+    input is read (a missing scores file is not reached), not ignored."""
+    scores, labels = scores_files
+    rc = main(["bootstrap", "--scores", str(scores if exists else tmp_path / "missing.csv"),
+               "--labels", str(labels), "--split-fraction", "2", "--B", "50",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --split-fraction applies to --curves only\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bootstrap_single_class_is_infeasible(ingested, tmp_path, capsys):
     curves_dir, _ = ingested
     bad_labels = tmp_path / "labels.csv"

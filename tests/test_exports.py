@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import pkgutil
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import funcutpoint
+from conftest import uniform_day_rows, write_labels_file, write_series_file
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(funcutpoint.__path__))
 
@@ -161,11 +163,11 @@ def test_curve_modules_leave_the_series_decoder_unloaded():
     assert "funcutpoint.ingest" not in loaded
 
 
-def _imported_modules(path: Path) -> set[str]:
-    """The modules a source file imports, by any spelling, relative imports
+def _imported_modules(tree) -> set[str]:
+    """The modules a syntax tree imports, by any spelling, relative imports
     resolved against funcutpoint."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -182,7 +184,7 @@ def test_only_cli_and_indices_import_ingest():
     CLI and indices, whose input is a SubjectSeries."""
     src = Path(funcutpoint.__file__).parent
     importers = {path.name for path in src.glob("*.py")
-                 if "funcutpoint.ingest" in _imported_modules(path)}
+                 if "funcutpoint.ingest" in _imported_modules(ast.parse(path.read_text()))}
     assert importers == {"cli.py", "indices.py"}
 
 
@@ -275,3 +277,98 @@ def test_declared_dependencies_match_imports():
     local = {"funcutpoint"} | {path.stem for path in tests.glob("*.py")}
     assert _third_party_imports(ROOT / "src", local) == runtime
     assert _third_party_imports(tests, local) - runtime == test_extra
+
+
+CHOICE_CONSTANTS = {"CRITERIA", "MU_MODES", "GAP_MODES", "SPREAD_MODES", "U2_MODES"}
+
+
+def test_choice_constants_have_one_home_and_cli_loads_no_submodule_eagerly():
+    """Each option-choice constant is assigned once in src/, in the package
+    __init__, so the parser reads it without loading a submodule; and
+    cli.py's module-level imports name no funcutpoint submodule, so each
+    command's modules are imported by its handler alone."""
+    src = Path(funcutpoint.__file__).parent
+    assigned = sorted(f"{path.name}:{node.id}" for path in sorted(src.glob("*.py"))
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                      and node.id in CHOICE_CONSTANTS)
+    assert assigned == sorted(f"__init__.py:{name}" for name in CHOICE_CONSTANTS)
+    top = ast.parse((src / "cli.py").read_text()).body
+    imports = ast.Module(body=[node for node in top
+                               if isinstance(node, (ast.Import, ast.ImportFrom))], type_ignores=[])
+    eager = {module for module in _imported_modules(imports)
+             if module.startswith("funcutpoint.") and module.split(".")[1] in MODULES}
+    assert eager == set()
+
+
+# Runs cli.main(argv) and prints, as JSON, its exit code and the modules
+# loaded after `import funcutpoint.cli`, at the first input digest (once
+# every artifact is written) and when main has returned.
+LOAD_PROBE = """
+import json, sys
+import funcutpoint.cli as cli
+loaded = {"import": sorted(sys.modules)}
+sha256 = cli._sha256
+def first_digest(path):
+    loaded.setdefault("digest", sorted(sys.modules))
+    return sha256(path)
+cli._sha256 = first_digest
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, **loaded, "main": sorted(sys.modules)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_loads(tmp_path_factory):
+    """The probe's record for `ingest` on a canonical two-subject series,
+    then `fit` on the curves it wrote."""
+    root = tmp_path_factory.mktemp("loads")
+    series, labels = root / "series.csv", root / "labels.csv"
+    write_series_file(series, [row for day in range(2) for sid, level in (("a", 100), ("b", 180))
+                               for row in uniform_day_rows(sid, day, level, step_minutes=15)])
+    series.write_bytes(series.read_bytes().replace(b"\r\n", b"\n"))
+    write_labels_file(labels, {"a": 0, "b": 1})
+    src = str(Path(funcutpoint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argvs = {
+        "ingest": ["ingest", "--series", series, "--labels", labels, "--nominal-interval", "15",
+                   "--out", root / "ingest"],
+        "fit": ["fit", "--curves", root / "ingest" / "curves.csv", "--grid",
+                root / "ingest" / "grid.json", "--labels", labels, "--out", root / "fit"],
+    }
+    loads = {}
+    for command, argv in argvs.items():
+        proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        loads[command] = json.loads(proc.stdout.splitlines()[-1])
+        assert loads[command]["code"] == 0, proc.stderr
+    return loads
+
+
+def test_importing_the_cli_loads_no_submodule_and_no_hashlib(command_loads):
+    """`import funcutpoint.cli` loads the package and the cli module alone,
+    and neither hashlib nor its OpenSSL module."""
+    for record in command_loads.values():
+        assert [m for m in record["import"] if m.startswith("funcutpoint.")] == ["funcutpoint.cli"]
+        assert {"hashlib", "_hashlib"} & set(record["import"]) == set()
+
+
+def test_each_command_loads_only_its_modules(command_loads):
+    """fit loads no series decoder, bootstrap, study, indices or normal
+    quantiles; ingest loads no bootstrap, study, cut-point sweep, threshold
+    family or smoother."""
+    unused = {"fit": ["ingest", "simulate", "bootstrap", "indices", "normal"],
+              "ingest": ["bootstrap", "simulate", "cutpoint", "threshold", "monotone"]}
+    for command, names in unused.items():
+        assert "funcutpoint.quantiles" in command_loads[command]["main"]
+        assert {f"funcutpoint.{n}" for n in names} & set(command_loads[command]["main"]) == set()
+
+
+def test_ingest_loads_openssl_only_after_its_artifacts(command_loads):
+    """The input digests, taken once every artifact is written, are the
+    first thing in an ingest run to load hashlib's OpenSSL module."""
+    record = command_loads["ingest"]
+    assert "funcutpoint.ingest" in record["digest"]
+    assert "_hashlib" not in record["digest"]
+    assert "_hashlib" in record["main"]
