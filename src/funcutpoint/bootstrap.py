@@ -4,7 +4,9 @@ Each replicate resamples subjects with replacement, re-estimates the
 centrality curve on the resample, recomputes margins against it, and
 re-optimizes the criterion. Percentile intervals come from the replicate
 cut-points; pointwise bands cover the cutoff curve (in rho) and the
-sensitivity/specificity sweep (on a fixed reference c-grid).
+sensitivity/specificity sweep (on a fixed reference c-grid). A band point
+keeps only the tails of its replicate values that its percentile limits
+read (_Band), not all B of them.
 
 Replicate b draws only from its own seed substream (seed, b), so results
 are byte-identical across runs. Replicates run serially; bootstrap_cutpoint
@@ -35,10 +37,8 @@ __all__ = [
 ]
 
 SWEEP_BAND_POINTS = 512
-# Sweep band rows whose rates _aggregate rebuilds at once. On the benchmark's
-# scalar step (n = 1000, B = 2000), blocks of 16, 64 and 128 rows peak at
-# 42.8, 45.6 and 49.2 MB, and _aggregate takes about 40 ms with each.
-_BAND_ROWS = 16
+# Values each band point takes between two selections of its tails (_Band).
+_BAND_BATCH = 64
 METRIC_NAMES = ("sensitivity", "specificity", "youden", "auc")
 
 
@@ -96,41 +96,87 @@ def _draw_indices(rng, n: int, max_redraws: int, acceptable) -> tuple[np.ndarray
             raise RuntimeError("bootstrap infeasible: class too rare")
 
 
-def _columns(B: int, n: int, curve_m: int | None = None) -> dict[str, np.ndarray]:
-    """Preallocated replicate results: entry or column b is replicate b.
-
-    The band arrays hold one row per threshold or grid point, so the band
-    quantiles select along contiguous rows; the sweep band's rows hold
-    counts (see _evaluate), in the smallest type that holds n.
-    """
+def _columns(B: int) -> dict[str, np.ndarray]:
+    """Preallocated replicate results: entry b is replicate b."""
     cols = {name: np.empty(B) for name in ("c_hat", *METRIC_NAMES)}
-    cols["below"] = np.empty((SWEEP_BAND_POINTS + 1, B), dtype=np.min_scalar_type(n))
-    cols["case_lt"] = np.empty_like(cols["below"])
     cols["fails"] = np.zeros(B, dtype=np.int64)
-    if curve_m is not None:
-        cols["curve"] = np.empty((curve_m, B))
     return cols
 
 
-def _aggregate(criterion, point_c, cols, ref_grid, cfg, curve_grid=None):
-    c_hats = cols["c_hat"]
-    metric_cis = {name: _percentile_ci(cols[name], cfg.alpha) for name in METRIC_NAMES}
-    qs = [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0]
-    # The sweep band's rates are rebuilt _BAND_ROWS rows at a time, each
-    # block with the sentinel row, so no (points, B) float array is built.
-    band = np.empty((2, 2, SWEEP_BAND_POINTS))
-    for start in range(0, SWEEP_BAND_POINTS, _BAND_ROWS):
-        rows = np.r_[start:min(start + _BAND_ROWS, SWEEP_BAND_POINTS), -1]
-        for out, rate in zip(band, rates(cols["below"][rows].T, cols["case_lt"][rows].T)):
-            out[:, rows[:-1]] = np.quantile(rate[:, :-1], qs, axis=0, method="linear",
-                                            overwrite_input=True)
-    (sens_lo, sens_hi), (spec_lo, spec_hi) = band
-    summary = BootstrapSummary(
+class _Band:
+    """Pointwise percentile band of a stream of B replicate values.
+
+    np.quantile's linear method at alpha/2 and 1 - alpha/2 reads order
+    statistics floor(h) and floor(h) + 1 of each point's values, at
+    h = (B - 1) q, so its limits need only each point's k smallest and k
+    largest values. A point's workspace row holds those tails and up to
+    _BAND_BATCH newer values; when the rows fill, one partition keeps the
+    tails. The limits are np.quantile(values, [alpha/2, 1 - alpha/2],
+    method="linear") over all B values, with its arithmetic; only where a
+    point's values hold zeros of both signs may a zero limit's sign differ.
+    When the tails and a batch cover B, every value is kept and np.quantile
+    takes the limits.
+    """
+
+    def __init__(self, points: int, B: int, alpha: float):
+        self.B = B
+        self.q = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
+        # np.quantile's neighbours of h and their weight: at or above
+        # B - 1 both are the maximum, and the weight counts from -1.
+        h = (B - 1) * self.q
+        below = np.floor(h)
+        below[h >= B - 1] = -1
+        self.gamma = h - below
+        at = np.stack([below, np.where(below < 0, -1, below + 1)], axis=1)
+        self.at = at.astype(np.intp) % B
+        self.k = int(max(self.at[0, 1] + 1, B - self.at[1, 0]))
+        self.ws = np.empty((points, min(B, 2 * self.k + _BAND_BATCH)))
+        self.fill = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Take a chunk of replicates' values, a row per replicate."""
+        k, cap = self.k, self.ws.shape[1]
+        done = 0
+        while done < len(values):
+            if self.fill == cap:
+                self.ws.partition((k - 1, cap - k), axis=1)
+                self.ws[:, k:2 * k] = self.ws[:, cap - k:]
+                self.fill = 2 * k
+            take = min(len(values) - done, cap - self.fill)
+            self.ws[:, self.fill:self.fill + take] = values[done:done + take].T
+            self.fill += take
+            done += take
+
+    def limits(self) -> np.ndarray:
+        """The (2, points) lower and upper limits."""
+        if self.ws.shape[1] == self.B:
+            return np.quantile(self.ws, self.q, axis=1, method="linear", overwrite_input=True)
+        # Order statistic j of the B values is at j in the held values'
+        # order below the middle, and at j - (B - fill) above it; the last
+        # held value is a NaN if any was, and np.quantile then gives it.
+        pos = self.at - [[0], [self.B - self.fill]]
+        held = self.ws[:, :self.fill]
+        held.partition(np.unique([*pos.ravel(), self.fill - 1]), axis=1)
+        a, b = held[:, pos[:, 0]].T, held[:, pos[:, 1]].T
+        gamma = self.gamma[:, None]
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+        np.copyto(out, held[:, -1], where=np.isnan(held[:, -1]))
+        return out
+
+
+def _summary(criterion, point_c, cols, ref_grid, cfg, sens_band, spec_band, points=slice(None)):
+    """The summary of a bootstrap's replicate columns and sweep bands; the
+    bands' limits at points give those at the reference grid's."""
+    (sens_lo, sens_hi), (spec_lo, spec_hi) = (band.limits()[:, points]
+                                              for band in (sens_band, spec_band))
+    return BootstrapSummary(
         criterion=criterion,
         c_hat=point_c,
-        ci=_percentile_ci(c_hats, cfg.alpha),
-        c_hats=c_hats,
-        metric_cis=metric_cis,
+        ci=_percentile_ci(cols["c_hat"], cfg.alpha),
+        c_hats=cols["c_hat"],
+        metric_cis={name: _percentile_ci(cols[name], cfg.alpha) for name in METRIC_NAMES},
         sweep_c=ref_grid,
         sens_lower=sens_lo,
         sens_upper=sens_hi,
@@ -141,27 +187,21 @@ def _aggregate(criterion, point_c, cols, ref_grid, cfg, curve_grid=None):
         alpha=cfg.alpha,
         seed=cfg.seed,
     )
-    if curve_grid is not None:
-        lo, hi = np.quantile(cols["curve"], qs, axis=1, method="linear", overwrite_input=True)
-        summary.curve_grid = curve_grid
-        summary.curve_lower = lo
-        summary.curve_upper = hi
-    return summary
 
 
 def _substream(seed: int, b: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
 
 
-def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols):
+def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols, bands):
     """Record a chunk of exact sweeps; returns each row's optimal column.
 
     Row r is one resample; column k holds the integer counts optimize
     divides at one threshold: below[r, k] draws and case_lt[r, k] case
     draws lie under it, and the last column, above every draw, is the
-    sentinel. present marks the candidates, grid_cols the columns of the
-    reference grid's thresholds, whose counts the bands keep with the
-    sentinel's. Every rate is the same quotient as optimize's.
+    sentinel. present marks the candidates, grid_cols the columns whose
+    rates the sensitivity and specificity bands take. Every rate is the
+    same quotient as optimize's.
     """
     sens, spec = rates(below, case_lt)
     i = pick(sens, spec, criterion, present)
@@ -170,9 +210,8 @@ def _evaluate(cols, span, below, case_lt, present, criterion, grid_cols):
     cols["specificity"][span] = spec[rows, i]
     cols["youden"][span] = sens[rows, i] + spec[rows, i] - 1.0
     cols["auc"][span] = row_aucs(sens, spec, present)
-    at = np.pad(grid_cols, [(0, 0), (0, 1)], constant_values=-1)
-    cols["below"][:, span] = np.take_along_axis(np.broadcast_to(below, case_lt.shape), at, 1).T
-    cols["case_lt"][:, span] = np.take_along_axis(case_lt, at, axis=1).T
+    for band, rate in zip(bands, (sens, spec)):
+        band.add(np.take_along_axis(rate, grid_cols, axis=1))
     return i
 
 
@@ -233,7 +272,9 @@ def bootstrap_curves(
                 return False
         return True
 
-    cols = _columns(cfg.B, n, m)
+    cols = _columns(cfg.B)
+    bands = [_Band(SWEEP_BAND_POINTS, cfg.B, cfg.alpha) for _ in range(2)]
+    curve_band = _Band(m, cfg.B, cfg.alpha)
     # Mode "clip" keeps np.take from copying the buffer first, as mode
     # "raise" does; every index is in range.
     for span in _chunks(cfg.B, n_eval + 1):
@@ -255,12 +296,18 @@ def bootstrap_curves(
 
         values, case_lt, present = sorted_sweeps(scores, lab)
         grid_cols = np.array([np.searchsorted(v, ref_grid, side="left") for v in values])
-        i = _evaluate(cols, span, np.arange(n_eval + 1), case_lt, present, criterion, grid_cols)
+        i = _evaluate(cols, span, np.arange(n_eval + 1), case_lt, present, criterion, grid_cols,
+                      bands)
         cols["c_hat"][span] = c_hat = candidates(values, present, i[:, None],
                                                  lambda r: scores[r])[:, 0]
-        cols["curve"][:, span] = (mus + c_hat[:, None] * sigmas).T
+        curve_band.add(mus + c_hat[:, None] * sigmas)
 
-    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg, curve_grid=grid)
+    # The working set goes before the bands' last selection.
+    del buf, scores, lab, mus, sigmas, values, case_lt, present, grid_cols
+    summary = _summary(criterion, point.c_hat, cols, ref_grid, cfg, *bands)
+    summary.curve_grid = grid
+    summary.curve_lower, summary.curve_upper = curve_band.limits()
+    return summary
 
 
 def bootstrap_scalar(
@@ -274,7 +321,7 @@ def bootstrap_scalar(
     The sample is sorted once into its K distinct values. Replicate b is
     its draw counts per distinct value, for all draws and for cases, so
     cumulative counts give the integer counts below each candidate that
-    optimize divides: every rate, c_hat and band row is the same
+    optimize divides: every rate, c_hat and band value is the same
     quotient, bit for bit, and cutpoint.candidates prints each c_hat.
     Replicates are drawn from their substreams in order, in chunks.
     """
@@ -293,8 +340,10 @@ def bootstrap_scalar(
     zero = run[scores == 0.0][:1]
     code = 2 * np.where(np.signbit(scores) & (scores == 0.0), K, run) + labels_arr
     # All draws at the distinct values below a reference threshold lie
-    # below it.
-    grid_cols = np.searchsorted(distinct, ref_grid, side="left")[None]
+    # below it, so thresholds between the same two distinct values have the
+    # same rates in every replicate: the bands keep one point per column.
+    points, expand = np.unique(np.searchsorted(distinct, ref_grid, side="left"),
+                               return_inverse=True)
 
     def acceptable(idx) -> bool:
         lab = labels_arr[idx]
@@ -303,7 +352,8 @@ def bootstrap_scalar(
     def draw(b):
         return _draw_indices(_substream(cfg.seed, b), n, cfg.max_redraws, acceptable)
 
-    cols = _columns(cfg.B, n)
+    cols = _columns(cfg.B)
+    bands = [_Band(points.size, cfg.B, cfg.alpha) for _ in range(2)]
     for span in _chunks(cfg.B, K + 1):
         # Each replicate's draws are counted as they are drawn, so a chunk
         # holds K + 1 candidate columns per replicate, not n draws.
@@ -317,7 +367,7 @@ def bootstrap_scalar(
         drew = counts[:, [K, *zero]].any(axis=2)
         counts[:, zero] += counts[:, K:]
         below, case_lt, present = counted_sweeps(counts[:, :K])
-        i = _evaluate(cols, span, below, case_lt, present, criterion, grid_cols)
+        i = _evaluate(cols, span, below, case_lt, present, criterion, points[None], bands)
 
         def zeros_of(r):
             negative, positive = drew[r]
@@ -327,7 +377,7 @@ def bootstrap_scalar(
 
         cols["c_hat"][span] = candidates(distinct[None], present, i[:, None], zeros_of)[:, 0]
 
-    return _aggregate(criterion, point.c_hat, cols, ref_grid, cfg)
+    return _summary(criterion, point.c_hat, cols, ref_grid, cfg, *bands, points=expand)
 
 
 def write_bootstrap_summary_json(path, summary: BootstrapSummary) -> None:

@@ -213,7 +213,8 @@ def sorted_sweeps(scores, labels):
     rows, n = scores.shape
     # Flat indices of each row's sorted order: one 1-d gather per array.
     order = np.argsort(scores, axis=1)
-    order += np.arange(0, rows * n, n)[:, None]
+    if rows > 1:
+        order += np.arange(0, rows * n, n)[:, None]
     values = scores.ravel()[order]
     cases_below = np.zeros((rows, n + 1), dtype=np.int64)
     np.cumsum(labels.ravel()[order], axis=1, out=cases_below[:, 1:])
@@ -241,10 +242,11 @@ def counted_sweeps(counts):
     return below, case_lt, present
 
 
-def row_aucs(sens, spec, present):
+def row_aucs(sens, spec, present=None):
     """np.trapezoid(sens[r, kept][::-1], (1 - spec[r, kept])[::-1]) for
     every row r, where kept = present[r], with the same arithmetic: the
-    trapezoidal area under each row's ROC.
+    trapezoidal area under each row's ROC. A single row of candidates'
+    rates needs no present: every column is kept.
 
     np.trapezoid sums, in reverse candidate order, the terms
     (fpr[i] - fpr[i + 1]) * (sens[i] + sens[i + 1]) / 2.0 with np.add.reduce;
@@ -256,9 +258,13 @@ def row_aucs(sens, spec, present):
     took 0.254 s against 0.278 s in median of 10 alternating pairs, and was
     faster in 8.
     """
-    s = sens[present]
-    fpr = 1.0 - spec[present]
+    rows = len(sens)
+    if present is not None:
+        sens, spec = sens[present], spec[present]
+    s, fpr = sens.ravel(), 1.0 - spec.ravel()
     terms = ((fpr[:-1] - fpr[1:]) * (s[:-1] + s[1:]) / 2.0)[::-1].copy()
+    if rows == 1:
+        return np.add.reduce(terms, keepdims=True)
     sizes = present.sum(axis=1)
     firsts = s.size - np.cumsum(sizes)
     return np.array([np.add.reduce(terms[first:first + k - 1])
@@ -279,16 +285,28 @@ def candidates(values, present, cols, sample_of):
     its sign is already known.
     """
     rows, width = present.shape[0], values.shape[1]
-    row = np.arange(rows) % len(values)  # 0 for every sweep when one row is shared
-    top = values[row, width - 1 - np.argmax(present[:, width - 1::-1], axis=1)]
+    # Each row's largest present value: its last value, unless it is not
+    # present (a tied maximum, or a distinct value not drawn).
+    last = np.full(rows, width - 1)
+    if not present[:, width - 1].all():
+        last -= np.argmax(present[:, width - 1::-1], axis=1)
+    # One row of values (a single sweep, or one all share) is read with flat
+    # indices, clipped to its last value at the sentinel: for a single sweep
+    # they cost less than a 2-d gather.
+    if len(values) == 1:
+        top, cs = values.take(last), values.take(cols, mode="clip")
+    else:
+        top = values[np.arange(rows), last]
+        cs = np.take_along_axis(values, np.minimum(cols, width - 1), axis=1)
     above = top + 1.0
     stuck = above <= top
     if stuck.any():
         raise FloatingPointError(f"no cut-off above the maximum score {float(top[stuck][0])!r}: "
                                  "max + 1.0 rounds back to it")
-    cs = np.where(cols == width, above[:, None], values[row[:, None], np.minimum(cols, width - 1)])
+    sentinel = cols == width
+    np.copyto(cs, above[:, None], where=sentinel)
     if (cs == 0.0).any():
-        for r, j in zip(*np.nonzero((cs == 0.0) & (cols < width))):
+        for r, j in zip(*np.nonzero((cs == 0.0) & ~sentinel)):
             zero = sample_of(int(r))
             cs[r, j] = zero if np.ndim(zero) == 0 else zero_candidate(zero)
     return cs
@@ -322,35 +340,34 @@ def optimize(
     the unrestricted candidate sweep; `bounds` and `c_grid` only restrict
     where c_hat may lie.
 
-    The sample is the one row of sorted_sweeps: its rates at every column,
-    its candidates and its row AUC are what the batched callers read, and
-    every rate is the quotient sweep_metrics gives.
+    The sample is the one row of sorted_sweeps: its rates at its candidate
+    columns, its candidates and its row AUC are what the batched callers
+    read, and every rate is the quotient sweep_metrics gives.
     """
     scores, labels = validate_sample(scores, labels)
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
     values, cases_below, present = sorted_sweeps(scores[None], labels[None])
-    sens, spec = rates(np.arange(scores.size + 1), cases_below)
-    auc = float(row_aucs(sens, spec, present)[0])
-    sens, spec = sens[0], spec[0]
     at = np.flatnonzero(present[0])
+    sens, spec = rates(at, cases_below[0, at])
+    auc = float(row_aucs(sens[None], spec[None])[0])
     cs = candidates(values, present, at[None], lambda r: scores)[0]
-    fpr, tpr = (1.0 - spec[at])[::-1], sens[at][::-1]
+    fpr, tpr = (1.0 - spec)[::-1], sens[::-1]
     if c_grid is not None:
         cs = np.asarray(c_grid, dtype=float)
         if cs.ndim != 1 or cs.size == 0:
             raise ValueError("c grid must be a nonempty 1-d array")
         cs = np.sort(cs)
         at = np.searchsorted(values[0], cs, side="left")
+        sens, spec = (r[0, at] for r in rates(np.arange(scores.size + 1), cases_below))
     if bounds is not None:
         lo, hi = bounds
         if not lo <= hi:
             raise ValueError("bounds must satisfy l <= u")
         inside = (cs >= lo) & (cs <= hi)
-        cs, at = cs[inside], at[inside]
+        cs, sens, spec = cs[inside], sens[inside], spec[inside]
         if cs.size == 0:
             raise ValueError("no candidate cut-points inside bounds")
-    sens, spec = sens[at], spec[at]
     youden = sens + spec - 1.0
     i = int(pick(sens, spec, criterion))
     return CutpointResult(

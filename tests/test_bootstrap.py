@@ -333,19 +333,12 @@ def test_functional_bootstrap_chunks_match_oracle(cap, monkeypatch):
                 hex_list(want["curve_band"])
 
 
-def test_bands_from_16_bit_counts_match_oracles(monkeypatch):
-    """At n >= 256 the band counts are uint16, and blocks of 100 band rows
-    (512 is no multiple of 100) rebuild both bootstraps' sweep bands as the
-    per-replicate oracles compute them, bit for bit."""
-    monkeypatch.setattr(bootstrap, "_BAND_ROWS", 100)
-    dtypes, real_columns = [], bootstrap._columns
-
-    def recorded_columns(*args):
-        cols = real_columns(*args)
-        dtypes.append(cols["below"].dtype)
-        return cols
-
-    monkeypatch.setattr(bootstrap, "_columns", recorded_columns)
+def test_bands_at_n_300_match_oracles(monkeypatch):
+    """At n = 300, with a batch of 5 values between selections (B = 30 is no
+    multiple of it, and the chunks cut it), both bootstraps' bands keep
+    only each point's tails and match the per-replicate oracles bit for
+    bit."""
+    monkeypatch.setattr(bootstrap, "_BAND_BATCH", 5)
     rng = np.random.default_rng(SEED + 11)
     scores, labels = scalar_sample(rng, n_case=150, n_ctrl=150, delta=1.0)
     scores = np.round(scores, 1)
@@ -365,7 +358,52 @@ def test_bands_from_16_bit_counts_match_oracles(monkeypatch):
         assert hex_list([got.sens_lower, got.sens_upper]) == hex_list(want["sens_band"])
         assert hex_list([got.spec_lower, got.spec_upper]) == hex_list(want["spec_band"])
         assert hex_list([got.curve_lower, got.curve_upper]) == hex_list(want["curve_band"])
-    assert dtypes == [np.dtype(np.uint16)] * 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda B: st.tuples(
+           st.just(B),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(1, B),
+           st.integers(1, B),
+           st.integers(1, 4),
+           st.integers(0, 2**32 - 1))))
+@example((12, 0.2, 1, 5, 2, 0))
+@example((300, 1e-300, 1, 7, 1, 1))
+@example((11, 0.5, 1, 1, 2, 1))  # a -0.0 lower limit where np.quantile gives 0.0
+@example((11, 0.20000000000000004, 1, 1, 2, 0))  # h = 1 + 2**-52 reads order statistic 2
+def test_band_limits_are_np_quantile_bit_for_bit(case):
+    """_Band's limits over any stream are np.quantile's linear limits over
+    all B values, whatever the batch between selections (1 to B) and the
+    chunks the stream arrives in (1 to B, so some cut a batch), at any
+    alpha, including those where the tails and a batch cover B and every
+    value is kept. Values tie heavily and hold zeros of both signs, as a
+    curve band's can, and a point that meets a NaN has NaN limits. Where
+    only the tails were kept and a point's values hold zeros of both
+    signs, the sign of a zero limit is an arbitrary one of them in both,
+    so there the limit is checked by value."""
+    B, alpha, batch, chunk, points, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0], size=(B, points))
+    values[:, -1] = rng.normal(size=B)
+    if seed % 4 == 0:
+        values[seed % B, 0] = np.nan
+    old = bootstrap._BAND_BATCH
+    bootstrap._BAND_BATCH = batch
+    try:
+        band = bootstrap._Band(points, B, alpha)
+        for start in range(0, B, chunk):
+            band.add(values[start:start + chunk])
+        kept_all = band.ws.shape[1] == B
+        got = band.limits()
+    finally:
+        bootstrap._BAND_BATCH = old
+    want = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="linear")
+    np.testing.assert_array_equal(got, want)
+    zero = values == 0.0
+    mixed = (zero & np.signbit(values)).any(axis=0) & (zero & ~np.signbit(values)).any(axis=0)
+    exact = ~(mixed & (want == 0.0)) | kept_all
+    assert hex_list(got[exact]) == hex_list(want[exact])
 
 
 def test_bands_hold_no_float_replicate_rows():
@@ -392,38 +430,48 @@ def test_bands_hold_no_float_replicate_rows():
         assert peak < bound_mb * 1e6
 
 
-def test_curve_band_is_taken_in_place():
-    """Peak traced memory of _aggregate on a (100, 1000) curve column stays
-    below one copy of it (0.8 MB): the curve band's quantiles overwrite the
-    column, as the sweep band's do their blocks."""
-    rng = np.random.default_rng(SEED + 13)
-    m, B = 100, 1000
-    ref_grid = np.linspace(-1.0, 1.0, bootstrap.SWEEP_BAND_POINTS)
-
-    def aggregate(cols):
-        return bootstrap._aggregate("youden", 0.0, cols, ref_grid, BootstrapConfig(B=B),
-                                    curve_grid=default_grid(m))
-
-    def columns():
-        cols = bootstrap._columns(B, 100, curve_m=m)
-        for name in ("c_hat", *bootstrap.METRIC_NAMES):
-            cols[name][:] = rng.normal(size=B)
-        cols["below"][:] = np.linspace(0, 100, ref_grid.size + 1).astype(int)[:, None]
-        cols["case_lt"][:] = cols["below"] // 2
-        cols["curve"][:] = rng.normal(size=(m, B))
-        return cols
-
-    aggregate(columns())  # numpy's one-time set-up of np.quantile, untraced
-    cols = columns()
-    want = np.quantile(cols["curve"], [0.025, 0.975], axis=1, method="linear")
+def test_band_memory_does_not_grow_with_B():
+    """Peak traced memory of a scalar bootstrap at B = 10 000 on a tied
+    n = 1000 sample. Its band points keep each tail's 251 values, not all
+    B: a (513, B) uint16 pair of stored band counts alone would take
+    2 * 513 * 10 000 * 2 bytes = 20.52 MB."""
+    rng = np.random.default_rng(SEED + 14)
+    scores, labels = scalar_sample(rng, n_case=500, n_ctrl=500, delta=1.0)
+    scores = np.round(scores, 1)
+    B = 10_000
     tracemalloc.start()
     try:
-        got = aggregate(cols)
+        bootstrap_scalar(scores, labels, cfg=BootstrapConfig(B=B))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < cols["curve"].nbytes
-    assert hex_list([got.curve_lower, got.curve_upper]) == hex_list(want)
+    assert peak < 2 * (bootstrap.SWEEP_BAND_POINTS + 1) * B * 2
+
+
+def test_curve_band_holds_less_than_one_replicate_column():
+    """Peak traced memory of the curve band of a (100, 1000) stream, fed in
+    the functional bootstrap's chunks of 8, stays below one (m, B) column
+    of it (0.8 MB), and its limits are np.quantile's."""
+    rng = np.random.default_rng(SEED + 13)
+    m, B = 100, 1000
+    values = rng.normal(size=(B, m))
+
+    def band():
+        curve = bootstrap._Band(m, B, 0.05)
+        for start in range(0, B, 8):
+            curve.add(values[start:start + 8])
+        return curve.limits()
+
+    band()  # numpy's one-time set-up of np.partition, untraced
+    tracemalloc.start()
+    try:
+        got = band()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
+    want = np.quantile(values, [0.025, 0.975], axis=0, method="linear")
+    assert hex_list(got) == hex_list(want)
 
 
 def test_functional_bootstrap_thread_invariance():
