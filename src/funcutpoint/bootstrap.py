@@ -6,7 +6,9 @@ re-optimizes the criterion. Percentile intervals come from the replicate
 cut-points; pointwise bands cover the cutoff curve (in rho) and the
 sensitivity/specificity sweep (on a fixed reference c-grid). A band point
 keeps only the tails of its replicate values that its percentile limits
-read (_Band), not all B of them.
+read (_Band), not all B of them. Intervals and band limits are
+np.quantile's linear ones (Hyndman & Fan's type 7), taken with
+quantiles.linear_quantiles, which leaves numpy.ma unloaded.
 
 Replicate b draws only from its own seed substream (seed, b), so results
 are byte-identical across runs. Replicates run serially; bootstrap_cutpoint
@@ -22,7 +24,8 @@ import numpy as np
 
 from .cutpoint import (_chunks, candidates, counted_sweeps, optimize, pick, rates, row_aucs,
                        sorted_sweeps, validate_sample)
-from .quantiles import curve_matrix, label_array, write_csv, write_json
+from .quantiles import (curve_matrix, label_array, linear_interpolate, linear_neighbours,
+                        linear_quantiles, write_csv, write_json)
 from .threshold import standardise
 
 __all__ = [
@@ -38,7 +41,7 @@ __all__ = [
 
 SWEEP_BAND_POINTS = 512
 # Values each band point takes between two selections of its tails (_Band).
-_BAND_BATCH = 64
+_BAND_BATCH = 32
 METRIC_NAMES = ("sensitivity", "specificity", "youden", "auc")
 
 
@@ -80,8 +83,9 @@ class BootstrapSummary:
 
 
 def _percentile_ci(values: np.ndarray, alpha: float) -> tuple[float, float]:
-    # Linear interpolation between order statistics at positions 1+(B-1)p.
-    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
+    # Linear interpolation between order statistics at positions 1+(B-1)p,
+    # on a copy: values may be a summary's c_hats.
+    lo, hi = linear_quantiles(values.copy(), [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
 
 
@@ -111,24 +115,19 @@ class _Band:
     h = (B - 1) q, so its limits need only each point's k smallest and k
     largest values. A point's workspace row holds those tails and up to
     _BAND_BATCH newer values; when the rows fill, one partition keeps the
-    tails. The limits are np.quantile(values, [alpha/2, 1 - alpha/2],
-    method="linear") over all B values, with its arithmetic; only where a
-    point's values hold zeros of both signs may a zero limit's sign differ.
-    When the tails and a batch cover B, every value is kept and np.quantile
-    takes the limits.
+    tails. The limits interpolate the held order statistics with
+    quantiles.linear_interpolate, so they are np.quantile(values,
+    [alpha/2, 1 - alpha/2], method="linear") over all B values; only where
+    a point's values hold zeros of both signs may a zero limit's sign
+    differ. When the tails and a batch cover B, every value is kept and
+    quantiles.linear_quantiles takes the limits, bit for bit.
     """
 
     def __init__(self, points: int, B: int, alpha: float):
         self.B = B
         self.q = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
-        # np.quantile's neighbours of h and their weight: at or above
-        # B - 1 both are the maximum, and the weight counts from -1.
-        h = (B - 1) * self.q
-        below = np.floor(h)
-        below[h >= B - 1] = -1
-        self.gamma = h - below
-        at = np.stack([below, np.where(below < 0, -1, below + 1)], axis=1)
-        self.at = at.astype(np.intp) % B
+        below, above, self.gamma = linear_neighbours(B, self.q)
+        self.at = np.stack([below, above], axis=1) % B
         self.k = int(max(self.at[0, 1] + 1, B - self.at[1, 0]))
         self.ws = np.empty((points, min(B, 2 * self.k + _BAND_BATCH)))
         self.fill = 0
@@ -150,20 +149,12 @@ class _Band:
     def limits(self) -> np.ndarray:
         """The (2, points) lower and upper limits."""
         if self.ws.shape[1] == self.B:
-            return np.quantile(self.ws, self.q, axis=1, method="linear", overwrite_input=True)
+            return linear_quantiles(self.ws, self.q)
         # Order statistic j of the B values is at j in the held values'
         # order below the middle, and at j - (B - fill) above it; the last
-        # held value is a NaN if any was, and np.quantile then gives it.
+        # held value is a NaN if any was.
         pos = self.at - [[0], [self.B - self.fill]]
-        held = self.ws[:, :self.fill]
-        held.partition(np.unique([*pos.ravel(), self.fill - 1]), axis=1)
-        a, b = held[:, pos[:, 0]].T, held[:, pos[:, 1]].T
-        gamma = self.gamma[:, None]
-        diff = b - a
-        out = a + diff * gamma
-        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-        np.copyto(out, held[:, -1], where=np.isnan(held[:, -1]))
-        return out
+        return linear_interpolate(self.ws[:, :self.fill], pos[:, 0], pos[:, 1], self.gamma)
 
 
 def _summary(criterion, point_c, cols, ref_grid, cfg, sens_band, spec_band, points=slice(None)):

@@ -103,6 +103,46 @@ def empirical_quantile(observations, grid) -> np.ndarray:
     return ordered[idx]
 
 
+def linear_neighbours(n: int, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.quantile's linear method (Hyndman & Fan's type 7) over n values
+    at the probabilities q: the order statistics below and above each
+    virtual index h = (n - 1) q, and its weight gamma. At or above n - 1
+    both are -1, the maximum, and the weight counts from -1, as in
+    numpy's _get_indexes."""
+    h = (n - 1) * np.asarray(q, dtype=float)
+    below = np.floor(h)
+    above = below + 1
+    top = h >= n - 1
+    below[top] = above[top] = -1
+    return below.astype(np.intp), above.astype(np.intp), h - below
+
+
+def linear_interpolate(values: np.ndarray, below, above, gamma) -> np.ndarray:
+    """The (len(gamma), ...) interpolations between the order statistics
+    at positions below and above of each row of `values` (1-d or 2-d,
+    partitioned in place along its last axis), with np.quantile's one
+    partition and _lerp arithmetic: a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) where gamma >= 0.5. A row whose values hold a
+    NaN gives NaN, its last value once partitioned."""
+    # The sorted kth set numpy builds with np.unique, which would load numpy.ma.
+    values.partition(sorted({0, -1, *below.tolist(), *above.tolist()}), axis=-1)
+    a, b = values[..., below].T, values[..., above].T
+    gamma = gamma.reshape(gamma.shape + (1,) * (values.ndim - 1))
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    last = values[..., -1]
+    np.copyto(out, last, where=np.isnan(last))
+    return out
+
+
+def linear_quantiles(values: np.ndarray, q) -> np.ndarray:
+    """np.quantile(values, q, axis=-1, method="linear") bit for bit, for a
+    float array `values` (1-d or 2-d, partitioned in place) and a 1-d q in
+    [0, 1]: a (len(q),) or (len(q), rows) array."""
+    return linear_interpolate(values, *linear_neighbours(values.shape[-1], q))
+
+
 def write_json(path, payload) -> None:
     """A JSON artifact: 2-space indent, sorted keys, a trailing newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -30,7 +30,7 @@ import numpy as np
 from . import CRITERIA, SPREAD_MODES, U2_MODES
 from .cutpoint import _chunks, pick, rates, sorted_sweeps
 from .normal import TruncNormalSpec, tn_quantile
-from .quantiles import QuantileCurve, check_grid, default_grid, write_csv
+from .quantiles import QuantileCurve, check_grid, default_grid, linear_quantiles, write_csv
 from .threshold import standardise
 
 __all__ = [
@@ -269,12 +269,13 @@ def summarize_study(rows):
         a, b, n, criterion = key
         for metric in ("sensitivity", "specificity"):
             vals = np.asarray(groups[key][metric])
-            qs = np.quantile(vals, _SUMMARY_QUANTILES, method="linear")
+            mean = float(vals.mean())  # before linear_quantiles reorders vals
+            qs = linear_quantiles(vals, _SUMMARY_QUANTILES)
             summary.append({
                 "a": a, "b": b, "n": n,
                 "criterion": criterion,
                 "metric": metric,
-                "mean": float(vals.mean()),
+                "mean": mean,
                 "q025": float(qs[0]),
                 "q250": float(qs[1]),
                 "median": float(qs[2]),

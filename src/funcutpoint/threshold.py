@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-6
+# Rows squared at a time for the pooled sigma (_column_sum_of_squares).
+_SQUARE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,32 @@ def standardise(
         sigma = np.maximum(est.std(axis=0, ddof=1), SIGMA_FLOOR)
     scored -= mu
     if centred_sigma:
-        sigma = np.add.reduce(np.square(scored), axis=0)
+        sigma = _column_sum_of_squares(scored)
         sigma /= n_est - 1
         sigma = np.maximum(np.sqrt(sigma, out=sigma), SIGMA_FLOOR)
     margins = _row_minima(scored, sigma)
     return mu, np.ones_like(mu) if sigma is None else sigma, margins
+
+
+def _column_sum_of_squares(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(np.square(x), axis=0) bit for bit, for an n x m x,
+    through a (_SQUARE_BLOCK + 1, m) scratch rather than an n x m square.
+    When x is C-contiguous with m > 1, numpy adds each column's rows in
+    order, so the running sum rides along as each block's first row.
+    Otherwise it may sum a column pairwise (always at m = 1), and there,
+    as for n within one block, x is squared whole."""
+    n, m = x.shape
+    if m == 1 or n <= _SQUARE_BLOCK or not x.flags.c_contiguous:
+        return np.add.reduce(np.square(x), axis=0)
+    # 0 + s is s for every square s, so the first block starts from zeros.
+    total = np.zeros(m)
+    scratch = np.empty((_SQUARE_BLOCK + 1, m))
+    for start in range(0, n, _SQUARE_BLOCK):
+        block = x[start:start + _SQUARE_BLOCK]
+        scratch[0] = total
+        np.square(block, out=scratch[1:len(block) + 1])
+        np.add.reduce(scratch[:len(block) + 1], axis=0, out=total)
+    return total
 
 
 def _row_minima(centred: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:

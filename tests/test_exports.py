@@ -321,13 +321,15 @@ print(json.dumps({"code": code, **loaded, "main": sorted(sys.modules)}))
 @pytest.fixture(scope="module")
 def command_loads(tmp_path_factory):
     """The probe's record for `ingest` on a canonical two-subject series,
-    then `fit` on the curves it wrote."""
+    then `fit` and `bootstrap` on the curves it wrote, `bootstrap` on
+    scores, and a small `simulate` study."""
     root = tmp_path_factory.mktemp("loads")
-    series, labels = root / "series.csv", root / "labels.csv"
+    series, labels, scores = root / "series.csv", root / "labels.csv", root / "scores.csv"
     write_series_file(series, [row for day in range(2) for sid, level in (("a", 100), ("b", 180))
                                for row in uniform_day_rows(sid, day, level, step_minutes=15)])
     series.write_bytes(series.read_bytes().replace(b"\r\n", b"\n"))
     write_labels_file(labels, {"a": 0, "b": 1})
+    scores.write_text("subject_id,score\na,1.5\nb,2.5\n")
     src = str(Path(funcutpoint.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -336,6 +338,13 @@ def command_loads(tmp_path_factory):
                    "--out", root / "ingest"],
         "fit": ["fit", "--curves", root / "ingest" / "curves.csv", "--grid",
                 root / "ingest" / "grid.json", "--labels", labels, "--out", root / "fit"],
+        "bootstrap": ["bootstrap", "--curves", root / "ingest" / "curves.csv", "--grid",
+                      root / "ingest" / "grid.json", "--labels", labels, "--B", "50",
+                      "--out", root / "bootstrap"],
+        "bootstrap-scores": ["bootstrap", "--scores", scores, "--labels", labels, "--B", "50",
+                             "--out", root / "bootstrap-scores"],
+        "simulate": ["simulate", "--a", "1", "--b", "1", "--n", "20", "--R", "10",
+                     "--out", root / "simulate"],
     }
     loads = {}
     for command, argv in argvs.items():
@@ -357,9 +366,13 @@ def test_importing_the_cli_loads_no_submodule_and_no_hashlib(command_loads):
 def test_each_command_loads_only_its_modules(command_loads):
     """fit loads no series decoder, bootstrap, study, indices or normal
     quantiles; ingest loads no bootstrap, study, cut-point sweep, threshold
-    family or smoother."""
+    family or smoother; bootstrap, on either route, and simulate load no
+    series decoder, indices or smoother, nor each other."""
     unused = {"fit": ["ingest", "simulate", "bootstrap", "indices", "normal"],
-              "ingest": ["bootstrap", "simulate", "cutpoint", "threshold", "monotone"]}
+              "ingest": ["bootstrap", "simulate", "cutpoint", "threshold", "monotone"],
+              "bootstrap": ["ingest", "simulate", "indices", "monotone", "normal"],
+              "bootstrap-scores": ["ingest", "simulate", "indices", "monotone", "normal"],
+              "simulate": ["ingest", "bootstrap", "indices", "monotone"]}
     for command, names in unused.items():
         assert "funcutpoint.quantiles" in command_loads[command]["main"]
         assert {f"funcutpoint.{n}" for n in names} & set(command_loads[command]["main"]) == set()
@@ -372,3 +385,12 @@ def test_ingest_loads_openssl_only_after_its_artifacts(command_loads):
     assert "funcutpoint.ingest" in record["digest"]
     assert "_hashlib" not in record["digest"]
     assert "_hashlib" in record["main"]
+
+
+def test_no_command_loads_numpy_ma(command_loads):
+    """No command loads numpy.ma, about 1.9 MB resident: the bootstrap's
+    intervals and bands and the study's summary take np.quantile's linear
+    quantiles with quantiles.linear_quantiles, and np.quantile's kth set,
+    built with np.unique, would load it."""
+    loaded = {command: "numpy.ma" in record["main"] for command, record in command_loads.items()}
+    assert loaded == dict.fromkeys(command_loads, False)

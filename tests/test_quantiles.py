@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from funcutpoint import quantiles
@@ -10,6 +10,7 @@ from funcutpoint.quantiles import (
     QuantileCurve,
     default_grid,
     empirical_quantile,
+    linear_quantiles,
     read_curves_csv,
     read_grid_json,
     write_curves_csv,
@@ -89,6 +90,42 @@ def test_quantile_cdf_duality():
         # F(x): the fraction of observations <= x.
         probs = np.unique(np.searchsorted(np.sort(obs), obs, side="right") / obs.size)
         np.testing.assert_array_equal(empirical_quantile(obs, probs), np.unique(obs))
+
+
+STUDY_QUANTILES = [0.025, 0.25, 0.5, 0.75, 0.975]
+PROBABILITIES = st.one_of(
+    st.just(STUDY_QUANTILES),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda a: [a / 2.0,
+                                                                          1.0 - a / 2.0]),
+    st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 3), PROBABILITIES, st.sampled_from(["ties", "normal"]),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, [0.0, 1.0], "ties", 0)
+@example(11, 2, [0.25, 0.75], "ties", 3)
+@example(300, 3, STUDY_QUANTILES, "normal", 4)
+def test_linear_quantiles_are_np_quantile_bit_for_bit(n, rows, q, kind, seed):
+    """linear_quantiles gives np.quantile's linear quantiles bit for bit,
+    for one sample and for each row of a 2-d array, at any probabilities
+    in [0, 1]: 0 and 1, alpha/2 pairs and the study summary's five. Values
+    tie heavily and hold zeros of both signs, whose order in the one
+    partition decides the sign of a zero quantile; every fourth seed puts
+    a NaN in the first row, whose quantiles are then NaN."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        values = rng.choice([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0], size=(rows, n))
+    else:
+        values = rng.normal(size=(rows, n))
+    if seed % 4 == 0:
+        values[0, seed % n] = np.nan
+    want = np.quantile(values, q, axis=1, method="linear")
+    got = linear_quantiles(values.copy(), q)
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    one = linear_quantiles(values[0].copy(), q)
+    assert [v.hex() for v in one.tolist()] == [v.hex() for v in want[:, 0].tolist()]
 
 
 def test_curve_constructor_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import curve_above_threshold
 from funcutpoint.cutpoint import CRITERIA
+from funcutpoint import threshold
 from funcutpoint.quantiles import QuantileCurve, default_grid
 from funcutpoint.threshold import (
     MU_MODES,
@@ -350,3 +353,47 @@ def test_standardise_matches_out_of_place_reference(data):
     assert margins.tobytes() == want_margins.tobytes()
     assert matrix[k_split:].tobytes() == want_scored.tobytes()
     assert matrix[:k_split].tobytes() == rows[:k_split].tobytes()
+
+
+BLOCK = threshold._SQUARE_BLOCK
+
+
+@pytest.mark.parametrize("n", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("m", [1, 2, 100])
+def test_pooled_sigma_sums_squares_in_np_add_reduce_order(n, m):
+    """The blocked sum of squares is np.add.reduce(np.square(x), axis=0)
+    bit for bit, at m = 1 and on a Fortran-ordered x (where numpy may sum
+    pairwise) and with n below, at and one past a block multiple. Values span twelve decades, so another
+    order of the additions shows. standardise's sigma and margins, with and
+    without a split, are the np.std reference's."""
+    rng = np.random.default_rng(SEED + 7 * n + m)
+    x = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-6, 7, size=(n, m))
+    for layout in (x, np.asfortranarray(x)):
+        want = np.add.reduce(np.square(layout), axis=0)
+        assert threshold._column_sum_of_squares(layout).tobytes() == want.tobytes()
+    labels = np.arange(n) % 2
+    for k_split in (0, max(2, n // 2)):
+        matrix = x.copy()
+        _, sigma, margins = standardise(matrix, labels, "pooled-mean", 0, True, k_split)
+        _, want_sigma, _, want_margins = standardise_reference(x, labels, "pooled-mean", 0,
+                                                               True, k_split)
+        assert sigma.tobytes() == want_sigma.tobytes()
+        assert margins.tobytes() == want_margins.tobytes()
+
+
+def test_pooled_sigma_allocates_less_than_one_square():
+    """standardise with sigma at n = 1000, m = 100 allocates less than one
+    n x m array (0.8 MB) beyond its input: the centred rows are squared a
+    block at a time, not whole."""
+    rng = np.random.default_rng(SEED + 3)
+    x = rng.normal(size=(1000, 100))
+    labels = np.arange(1000) % 2
+    standardise(x.copy(), labels, with_sigma=True)  # numpy's one-time set-up, untraced
+    matrix = x.copy()
+    tracemalloc.start()
+    try:
+        standardise(matrix, labels, with_sigma=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
